@@ -7,7 +7,6 @@ benchmarking.
 """
 
 from .colorcoding import (
-    RandConfig,
     color_coding,
     color_coding_layer,
     knapsack_rand,
@@ -65,7 +64,6 @@ __all__ = [
     "KnapsackInstance",
     "MaxConvInstance",
     "NecklaceInstance",
-    "RandConfig",
     "ReductionOutcome",
     "Sequence",
     "ValueProfile",

@@ -15,10 +15,11 @@ import random
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from .colorcoding import RandConfig, knapsack_rand
+from .colorcoding import knapsack_rand
 from .core import (
     DEFAULT_KERNEL,
     KERNELS,
@@ -26,7 +27,6 @@ from .core import (
     check_upper_bound,
     is_superadditive,
     max_conv,
-    maxconv_values,
 )
 from .decision import max_conv_via_upperbound
 from .oracles import (
@@ -51,312 +51,169 @@ from .serialize import (
     PROBLEMS,
     InstanceFormatError,
     dump_instance,
+    gen_payload,
     parse_instance,
     payload_objects,
 )
 
 # ---------------------------------------------------------------------------
-# generators (seeded, reproducible; biased so both verdicts occur)
+# solve methods: problem -> {method: solver(objects, opts) -> answer}, the
+# reference method first.  Solvers look every reduction and oracle up in this
+# module when they run, so a tracer can replace them after import.
 
 
-def _seq(rng: random.Random, n: int, w: int) -> list[int]:
-    return [rng.randint(-w, w) for _ in range(n)]
+def _decision(d) -> dict:
+    witness = d.witness
+    return {"decision": bool(d), "witness": list(witness) if isinstance(witness, tuple) else witness}
 
 
-def _gen_bound_triple(rng, n, w, upper: bool) -> dict:
-    a = _seq(rng, n, w)
-    b = _seq(rng, n, w)
-    roll = rng.random()
-    if roll < 0.5:
-        c = _seq(rng, n, 2 * w)
-    else:
-        c = maxconv_values(a, b, n - 1)
-        if roll < 0.75:
-            # Keep the answer YES: pad up for the upper bound, down for the lower.
-            slack = [rng.randint(0, 2) for _ in range(n)]
-            c = [v + s if upper else v - s for v, s in zip(c, slack)]
-        else:
-            idx = rng.randrange(n)
-            c[idx] += -1 - rng.randint(0, w) if upper else 1 + rng.randint(0, w)
-    return {"a": a, "b": b, "c": c}
+def _verdict(holds) -> dict:
+    # A route through a reduction recovers the decision, not a witness.
+    return {"decision": bool(holds), "witness": None}
 
 
-def _gen_superadd_seq(rng, n, w) -> list[int]:
-    roll = rng.random()
-    if roll < 0.5:
-        return _seq(rng, n, w)
-    step = max(1, w // max(1, n - 1))
-    incs = sorted(rng.randint(0, step) for _ in range(n - 1))
-    seq = [0]
-    for inc in incs:
-        seq.append(seq[-1] + inc)
-    if roll >= 0.75 and n > 1:
-        seq[rng.randrange(1, n)] += rng.randint(1, 3)
-    return seq
-
-
-def gen_payload(problem: str, rng: random.Random, opts: dict) -> dict:
-    n = opts["n"]
-    w = opts["values"]
-    if problem == "maxconv":
-        return {"a": _seq(rng, n, w), "b": _seq(rng, n, w)}
-    if problem == "upperbound":
-        return _gen_bound_triple(rng, n, w, upper=True)
-    if problem == "lowerbound":
-        return _gen_bound_triple(rng, n, w, upper=False)
-    if problem == "3sumconv":
-        a, b, c = _seq(rng, n, w), _seq(rng, n, w), _seq(rng, n, 2 * w)
-        if rng.random() < 0.5:
-            i = rng.randrange(n)
-            j = rng.randrange(n - i)
-            c[i + j] = a[i] + b[j]
-        return {"a": a, "b": b, "c": c}
-    if problem == "superadd":
-        return {"a": _gen_superadd_seq(rng, n, w)}
-    if problem == "mcsp":
-        return {"a": _seq(rng, n, w)}
-    if problem in ("knapsack01", "uknapsack"):
-        t = opts["t"] if opts.get("t") else max(1, 2 * n)
-        items = [[rng.randint(1, t), rng.randint(0, w)] for _ in range(n)]
-        return {"items": items, "capacity": t}
-    if problem == "treesparsity":
-        parent = [-1] + [rng.randint(0, i - 1) for i in range(1, n)]
-        weight = [rng.randint(0, w) for _ in range(n)]
-        k = opts["k"] if opts.get("k") is not None else rng.randint(0, n)
-        return {"parent": parent, "weight": weight, "k": k}
-    if problem == "necklace":
-        circle = opts["circle"] if opts.get("circle") else max(4, 8 * n)
-        return {
-            "x": sorted(rng.randint(0, circle) for _ in range(n)),
-            "y": sorted(rng.randint(0, circle) for _ in range(n)),
-            "circle_length": circle,
-        }
-    raise InstanceFormatError(f"unknown problem tag {problem!r}")
-
-
-# ---------------------------------------------------------------------------
-# solve methods
-
-
-def _decision_answer(decision) -> dict:
-    witness = decision.witness
-    if isinstance(witness, tuple):
-        witness = list(witness)
-    return {"decision": bool(decision), "witness": witness}
-
-
-def _profile_answer(profile) -> dict:
+def _profile(profile) -> dict:
     best = list(profile)
     return {"profile": best, "value_at_capacity": best[-1]}
 
 
-def _solve_upperbound_via_superadd(objs, opts):
-    out = reduce_upperbound_to_superadditivity(*objs)
-    verdict = out.interpret([is_superadditive(out.instances[0])])
-    return {"decision": bool(verdict), "witness": None}
-
-
-def _solve_upperbound_via_3sumconv(objs, opts):
-    out = reduce_upperbound_to_3sumconv(*objs)
-    answers = [three_sum_conv_brute(a, b, c) for a, b, c in out.instances]
-    return {"decision": bool(out.interpret(answers)), "witness": None}
-
-
-def _superadd_via_uknapsack(seq) -> bool:
-    out = reduce_superadditivity_to_unbounded(seq)
-    if not out.instances:
-        return bool(out.interpret([]))
-    return bool(out.interpret([unbounded_knapsack_dp(out.instances[0])]))
-
-
-def _solve_upperbound_via_uknapsack(objs, opts):
-    out = reduce_upperbound_to_superadditivity(*objs)
-    verdict = out.interpret([_superadd_via_uknapsack(out.instances[0])])
-    return {"decision": bool(verdict), "witness": None}
-
-
-def _solve_lowerbound_via_necklace(objs, opts):
-    out = reduce_lowerbound_to_necklace(*objs)
-    verdict = out.interpret([necklace_linf_brute(out.instances[0])])
-    return {"decision": bool(verdict), "witness": None}
-
-
-def _solve_superadd_via_mcsp(objs, opts):
-    out = reduce_superadditivity_to_mcsp(objs[0])
-    if not out.instances:
-        return {"decision": bool(out.interpret([])), "witness": None}
-    verdict = out.interpret([mcsp_brute(out.instances[0])])
-    return {"decision": bool(verdict), "witness": None}
-
-
-def _solve_knapsack_rand(objs, opts):
-    inst = objs[0]
-    cfg = RandConfig(delta=opts["delta"], seed=opts["seed"], kernel=opts["kernel"])
-    prof = knapsack_rand(inst.items, inst.capacity, cfg.delta, cfg.seed, cfg.kernel)
-    return _profile_answer(prof)
-
-
-def _solve_uknapsack_via_01(objs, opts):
-    # The constructed 0/1 profile matches the source profile at every
-    # capacity, so the whole profile is reported, not just the optimum.
-    out = reduce_unbounded_to_01(objs[0])
-    return _profile_answer(knapsack01_dp(out.instances[0]))
-
-
-def _solve_mcsp_via_maxconv(objs, opts):
-    out = reduce_mcsp_to_maxconv(objs[0])
-    inst = out.instances[0]
-    conv = max_conv(inst.a, inst.b, inst.limit, opts["kernel"])
-    return {"sums": list(out.interpret([conv]))}
-
-
-def _solve_treesparsity_dp(objs, opts):
-    tree, k = objs
-    value, vector = tree_sparsity_dp(tree, k)
-    return {"k": k, "value": value, "vector": vector}
-
-
-def _solve_treesparsity_via(objs, opts):
-    tree, k = objs
-    vector = tree_sparsity_via_maxconv(tree, opts["kernel"])
+def _sparsity(k: int, vector: list[int]) -> dict:
     return {"k": k, "value": vector[k], "vector": vector}
 
 
-def _solve_maxconv_kernel(name):
+def _route(outcome, solve):
+    """Solve a reduction's target instances and read the source answer back."""
+    return outcome.interpret([solve(inst) for inst in outcome.instances])
+
+
+def _superadd_via_uknapsack(seq) -> bool:
+    return bool(_route(reduce_superadditivity_to_unbounded(seq), unbounded_knapsack_dp))
+
+
+def _conv_instance(kernel: str):
+    return lambda inst: max_conv(inst.a, inst.b, inst.limit, kernel)
+
+
+def _conv(kernel: str):
     # The problem's canonical output has the operands' common length n;
     # the kernels themselves can produce the full 2n-1 product.
-    def run(objs, opts):
-        a, b = objs
-        return {"sequence": max_conv(a, b, limit=len(a) - 1, kernel=name).tolist()}
-
-    return run
+    return lambda o, p: {
+        "sequence": max_conv(o[0], o[1], limit=len(o[0]) - 1, kernel=kernel).tolist()
+    }
 
 
 METHODS = {
     "maxconv": {
-        "naive": _solve_maxconv_kernel("naive"),
-        "python": _solve_maxconv_kernel("python"),
-        "via-upperbound": lambda o, p: {
-            "sequence": max_conv_via_upperbound(o[0], o[1]).tolist()
-        },
+        "naive": _conv("naive"),
+        "python": _conv("python"),
+        "via-upperbound": lambda o, p: {"sequence": max_conv_via_upperbound(*o).tolist()},
     },
     "upperbound": {
-        "direct": lambda o, p: _decision_answer(check_upper_bound(*o)),
-        "via-superadd": _solve_upperbound_via_superadd,
-        "via-3sumconv": _solve_upperbound_via_3sumconv,
-        "via-uknapsack": _solve_upperbound_via_uknapsack,
+        "direct": lambda o, p: _decision(check_upper_bound(*o)),
+        "via-superadd": lambda o, p: _verdict(
+            _route(reduce_upperbound_to_superadditivity(*o), is_superadditive)
+        ),
+        "via-3sumconv": lambda o, p: _verdict(
+            _route(reduce_upperbound_to_3sumconv(*o), lambda i: three_sum_conv_brute(*i))
+        ),
+        "via-uknapsack": lambda o, p: _verdict(
+            _route(reduce_upperbound_to_superadditivity(*o), _superadd_via_uknapsack)
+        ),
     },
     "lowerbound": {
-        "direct": lambda o, p: _decision_answer(check_lower_bound(*o)),
-        "via-necklace": _solve_lowerbound_via_necklace,
+        "direct": lambda o, p: _decision(check_lower_bound(*o)),
+        "via-necklace": lambda o, p: _verdict(
+            _route(reduce_lowerbound_to_necklace(*o), necklace_linf_brute)
+        ),
     },
     "superadd": {
-        "direct": lambda o, p: _decision_answer(is_superadditive(o[0])),
-        "via-uknapsack": lambda o, p: {
-            "decision": _superadd_via_uknapsack(o[0]),
-            "witness": None,
-        },
-        "via-mcsp": _solve_superadd_via_mcsp,
+        "direct": lambda o, p: _decision(is_superadditive(*o)),
+        "via-uknapsack": lambda o, p: _verdict(_superadd_via_uknapsack(*o)),
+        "via-mcsp": lambda o, p: _verdict(_route(reduce_superadditivity_to_mcsp(*o), mcsp_brute)),
     },
     "knapsack01": {
-        "dp": lambda o, p: _profile_answer(knapsack01_dp(o[0])),
-        "rand": _solve_knapsack_rand,
+        "dp": lambda o, p: _profile(knapsack01_dp(*o)),
+        "rand": lambda o, p: _profile(
+            knapsack_rand(o[0].items, o[0].capacity, p["delta"], p["seed"], p["kernel"])
+        ),
     },
     "uknapsack": {
-        "dp": lambda o, p: _profile_answer(unbounded_knapsack_dp(o[0])),
-        "via-01": _solve_uknapsack_via_01,
+        "dp": lambda o, p: _profile(unbounded_knapsack_dp(*o)),
+        # The constructed 0/1 profile matches the source profile at every
+        # capacity, so the whole profile is reported, not just the optimum.
+        "via-01": lambda o, p: _profile(knapsack01_dp(*reduce_unbounded_to_01(*o).instances)),
     },
     "mcsp": {
-        "brute": lambda o, p: {"sums": mcsp_brute(o[0])},
-        "via-maxconv": _solve_mcsp_via_maxconv,
+        "brute": lambda o, p: {"sums": mcsp_brute(*o)},
+        "via-maxconv": lambda o, p: {
+            "sums": list(_route(reduce_mcsp_to_maxconv(*o), _conv_instance(p["kernel"])))
+        },
     },
     "treesparsity": {
-        "dp": _solve_treesparsity_dp,
-        "via-maxconv": _solve_treesparsity_via,
+        "dp": lambda o, p: _sparsity(o[1], tree_sparsity_dp(*o)[1]),
+        "via-maxconv": lambda o, p: _sparsity(o[1], tree_sparsity_via_maxconv(o[0], p["kernel"])),
     },
     "necklace": {
-        "brute": lambda o, p: {"doubled_objective": necklace_linf_brute(o[0])},
+        "brute": lambda o, p: {"doubled_objective": necklace_linf_brute(*o)},
     },
     "3sumconv": {
-        "brute": lambda o, p: _decision_answer(three_sum_conv_brute(*o)),
+        "brute": lambda o, p: _decision(three_sum_conv_brute(*o)),
     },
 }
 
-REFERENCE = {
-    "maxconv": "naive",
-    "upperbound": "direct",
-    "lowerbound": "direct",
-    "superadd": "direct",
-    "knapsack01": "dp",
-    "uknapsack": "dp",
-    "mcsp": "brute",
-    "treesparsity": "dp",
-    "necklace": "brute",
-    "3sumconv": "brute",
-}
+REFERENCE = {problem: next(iter(methods)) for problem, methods in METHODS.items()}
 
 RANDOMIZED = {("knapsack01", "rand")}
 
 
 def _compare(problem: str, method: str, ans: dict, ref: dict) -> tuple[bool, bool]:
-    """Return (agrees, hard_violation) for an answer vs the reference."""
+    """Return (agrees, hard_violation) for an answer vs the reference.  Witnesses
+    are not compared: methods may return different, equally valid ones."""
     if (problem, method) in RANDOMIZED:
         sound = all(x <= y for x, y in zip(ans["profile"], ref["profile"]))
-        agrees = ans["value_at_capacity"] == ref["value_at_capacity"]
-        return agrees, not sound
-    if "decision" in ans:
-        same = ans["decision"] == ref["decision"]
-        return same, not same
-    for key in ("sequence", "profile", "sums", "vector", "doubled_objective"):
-        if key in ans:
-            same = ans[key] == ref[key]
-            return same, not same
-    raise AssertionError(f"no comparable field in answer for {problem}/{method}")
+        return ans["value_at_capacity"] == ref["value_at_capacity"], not sound
+    same = {**ans, "witness": None} == {**ref, "witness": None}
+    return same, not same
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+def _method(problem: str, name: str):
+    methods = METHODS[problem]
+    if name not in methods:
+        raise InstanceFormatError(
+            f"method {name!r} not registered for {problem}; have {sorted(methods)}"
+        )
+    return methods[name]
+
+
+def _run_opts(args, seed: int) -> dict:
+    return {"delta": args.delta, "seed": seed, "kernel": args.kernel}
+
+
 def _cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
-    opts = {
-        "n": args.n,
-        "values": args.values,
-        "t": args.t,
-        "k": args.k,
-        "circle": args.circle,
-    }
-    payload = gen_payload(args.problem, rng, opts)
+    opts = {"n": args.n, "values": args.values, "t": args.t, "k": args.k, "circle": args.circle}
+    payload = gen_payload(args.problem, random.Random(args.seed), opts)
     meta = {"seed": args.seed, "generator": {k: v for k, v in opts.items() if v is not None}}
     text = dump_instance(args.problem, payload, meta)
     if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
-
-
 def _cmd_solve(args) -> int:
-    doc = parse_instance(_read_input(args.input))
+    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+    doc = parse_instance(text)
     problem = doc["problem"]
-    methods = METHODS[problem]
-    if args.method not in methods:
-        raise InstanceFormatError(
-            f"method {args.method!r} not registered for {problem}; have {sorted(methods)}"
-        )
+    solve = _method(problem, args.method)
     objs = payload_objects(problem, doc["payload"])
-    opts = {"delta": args.delta, "seed": args.seed, "kernel": args.kernel}
+    opts = _run_opts(args, args.seed)
     start = time.perf_counter()
-    answer = methods[args.method](objs, opts)
+    answer = solve(objs, opts)
     elapsed = time.perf_counter() - start
     report = {
         "problem": problem,
@@ -368,14 +225,12 @@ def _cmd_solve(args) -> int:
     code = 0
     if args.check:
         ref_name = REFERENCE[problem]
-        ref = methods[ref_name](objs, opts)
+        ref = METHODS[problem][ref_name](objs, opts)
         agrees, hard = _compare(problem, args.method, answer, ref)
         report["oracle_agreement"] = agrees
         report["reference_method"] = ref_name
-        if hard:
-            code = 2
-    indent = 2 if args.json else None
-    print(json.dumps(report, indent=indent, sort_keys=True))
+        code = 2 if hard else 0
+    print(json.dumps(report, indent=2 if args.json else None, sort_keys=True))
     return code
 
 
@@ -386,56 +241,32 @@ def _cmd_crosscheck(args) -> int:
     stats = {
         name: {"disagreements": 0, "mismatches": 0, "soundness_violations": 0}
         for name in methods
+        if name != ref_name
     }
-    hard_fail = False
-    for trial in range(args.trials):
-        n = rng.randint(1, args.n)
-        opts = {
-            "n": n,
-            "values": args.values,
-            "t": args.t,
-            "k": None,
-            "circle": None,
-        }
-        payload = gen_payload(args.problem, rng, opts)
-        objs = payload_objects(args.problem, payload)
-        run_opts = {
-            "delta": args.delta,
-            "seed": rng.randrange(2**32),
-            "kernel": args.kernel,
-        }
+    for _ in range(args.trials):
+        opts = {"n": rng.randint(1, args.n), "values": args.values, "t": args.t}
+        objs = payload_objects(args.problem, gen_payload(args.problem, rng, opts))
+        run_opts = _run_opts(args, rng.randrange(2**32))
         ref = methods[ref_name](objs, run_opts)
-        for name, fn in methods.items():
-            if name == ref_name:
-                continue
-            ans = fn(objs, run_opts)
-            agrees, hard = _compare(args.problem, name, ans, ref)
+        for name, entry in stats.items():
+            agrees, hard = _compare(args.problem, name, methods[name](objs, run_opts), ref)
             if (args.problem, name) in RANDOMIZED:
-                if not agrees:
-                    stats[name]["mismatches"] += 1
-                if hard:
-                    stats[name]["soundness_violations"] += 1
-                    hard_fail = True
-            elif not agrees:
-                stats[name]["disagreements"] += 1
-                hard_fail = True
+                entry["mismatches"] += not agrees
+                entry["soundness_violations"] += hard
+            else:
+                entry["disagreements"] += not agrees
+    for name, entry in stats.items():
+        if (args.problem, name) in RANDOMIZED:
+            entry["empirical_failure_rate"] = entry["mismatches"] / max(args.trials, 1)
     summary = {
         "problem": args.problem,
         "trials": args.trials,
         "max_n": args.n,
         "reference": ref_name,
-        "methods": {},
+        "methods": stats,
     }
-    for name in methods:
-        if name == ref_name:
-            continue
-        entry = dict(stats[name])
-        if (args.problem, name) in RANDOMIZED:
-            entry["empirical_failure_rate"] = (
-                stats[name]["mismatches"] / args.trials if args.trials else 0.0
-            )
-        summary["methods"][name] = entry
     print(json.dumps(summary, indent=2, sort_keys=True))
+    hard_fail = any(e["disagreements"] or e["soundness_violations"] for e in stats.values())
     return 2 if hard_fail else 0
 
 
@@ -443,25 +274,20 @@ def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or sizes != sorted(sizes):
         raise InstanceFormatError("--sizes must be a comma-separated ascending list")
-    methods = METHODS[args.problem]
-    if args.method not in methods:
-        raise InstanceFormatError(
-            f"method {args.method!r} not registered for {args.problem}"
-        )
+    solve = _method(args.problem, args.method)
     print(f"# platform: {platform.platform()}")
     print(f"# python: {platform.python_version()}  numpy: {np.__version__}")
     print(f"# repeats: 5 (median reported)")
     print("problem,method,size,median_seconds")
     rng = random.Random(args.seed)
+    run_opts = _run_opts(args, args.seed)
     for size in sizes:
-        opts = {"n": size, "values": args.values, "t": None, "k": None, "circle": None}
-        payload = gen_payload(args.problem, rng, opts)
+        payload = gen_payload(args.problem, rng, {"n": size, "values": args.values})
         objs = payload_objects(args.problem, payload)
-        run_opts = {"delta": args.delta, "seed": args.seed, "kernel": args.kernel}
         times = []
         for _ in range(5):
             start = time.perf_counter()
-            methods[args.method](objs, run_opts)
+            solve(objs, run_opts)
             times.append(time.perf_counter() - start)
         print(f"{args.problem},{args.method},{size},{statistics.median(times):.6f}")
     return 0
@@ -469,6 +295,12 @@ def _cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _solver_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kernel", default=DEFAULT_KERNEL, choices=sorted(KERNELS))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -479,6 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance file")
+    p_gen.set_defaults(handler=_cmd_gen)
     p_gen.add_argument("--problem", required=True, choices=PROBLEMS)
     p_gen.add_argument("--n", type=int, required=True, help="instance size")
     p_gen.add_argument("--values", type=int, default=100, help="value magnitude bound")
@@ -489,46 +322,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
     p_solve = sub.add_parser("solve", help="run one method on an instance file")
+    p_solve.set_defaults(handler=_cmd_solve)
     p_solve.add_argument("--input", required=True, help="instance path ('-' for stdin)")
     p_solve.add_argument("--method", required=True)
     p_solve.add_argument("--check", action="store_true", help="cross-check against the reference method")
-    p_solve.add_argument("--delta", type=float, default=0.05)
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--kernel", default=DEFAULT_KERNEL, choices=sorted(KERNELS))
+    _solver_options(p_solve)
     p_solve.add_argument("--json", action="store_true", help="pretty-print the run report")
 
     p_cross = sub.add_parser("crosscheck", help="run every method on seeded random instances")
+    p_cross.set_defaults(handler=_cmd_crosscheck)
     p_cross.add_argument("--problem", required=True, choices=PROBLEMS)
     p_cross.add_argument("--trials", type=int, default=100)
     p_cross.add_argument("--n", type=int, default=16, help="maximum instance size")
     p_cross.add_argument("--values", type=int, default=32)
     p_cross.add_argument("--t", type=int, default=None)
-    p_cross.add_argument("--delta", type=float, default=0.05)
-    p_cross.add_argument("--seed", type=int, default=0)
-    p_cross.add_argument("--kernel", default=DEFAULT_KERNEL, choices=sorted(KERNELS))
+    _solver_options(p_cross)
 
     p_bench = sub.add_parser("bench", help="median-of-5 timings over a size sweep (CSV)")
+    p_bench.set_defaults(handler=_cmd_bench)
     p_bench.add_argument("--problem", required=True, choices=PROBLEMS)
     p_bench.add_argument("--method", required=True)
     p_bench.add_argument("--sizes", required=True, help="comma-separated ascending sizes")
     p_bench.add_argument("--values", type=int, default=100)
-    p_bench.add_argument("--delta", type=float, default=0.05)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--kernel", default=DEFAULT_KERNEL, choices=sorted(KERNELS))
+    _solver_options(p_bench)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "solve": _cmd_solve,
-        "crosscheck": _cmd_crosscheck,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (InstanceFormatError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,31 +16,14 @@ merges happen in a fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
-from .core import DEFAULT_KERNEL, KERNELS, Kernel, maxconv_values, resolve_kernel
+from .core import Kernel, maxconv_values, resolve_kernel
 from .oracles import ValueProfile, _check_int
 
 SeedLike = Union[int, np.random.SeedSequence]
-
-
-@dataclass(frozen=True)
-class RandConfig:
-    """Failure budget, seed, and kernel choice for the randomised solver."""
-
-    delta: float
-    seed: int
-    kernel: str = DEFAULT_KERNEL
-
-    def __post_init__(self):
-        _validate_delta(self.delta)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer (reproducibility contract)")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
 
 
 def _validate_delta(delta) -> None:
@@ -212,6 +195,7 @@ def knapsack_rand(
     """
     _check_int(t, "capacity")
     _validate_delta(delta)
+    root = _seedseq(rng)
     zs = [(w, v) for w, v in _clean_items(items) if w <= t]
     kern = resolve_kernel(kernel)
     if t == 0:
@@ -227,7 +211,6 @@ def knapsack_rand(
                 layer = i
                 break
         buckets[layer].append((w, v))
-    root = _seedseq(rng)
     seqs = root.spawn(layers)
     acc = [0] * (t + 1)
     for i in range(1, layers + 1):

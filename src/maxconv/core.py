@@ -284,20 +284,14 @@ def is_superadditive(a: SequenceLike) -> Decision:
     """
     av = as_values(a)
     n = len(av)
-    if n >= 256:
-        # Same scan order as below, with the k-search vectorised.
-        conv = maxconv_values(av, av, n - 1)
-        for k in range(n):
-            if conv[k] > av[k]:
-                for i in range(k // 2 + 1):
-                    if av[i] + av[k - i] > av[k]:
-                        return Decision(False, (i, k - i))
-        return Decision(True)
+    # The convolution finds every violated k at once; the witness is then
+    # the first violating pair in scan order (k ascending, then i).
+    conv = maxconv_values(av, av, n - 1)
     for k in range(n):
-        ak = av[k]
-        for i in range(k // 2 + 1):
-            if av[i] + av[k - i] > ak:
-                return Decision(False, (i, k - i))
+        if conv[k] > av[k]:
+            for i in range(k // 2 + 1):
+                if av[i] + av[k - i] > av[k]:
+                    return Decision(False, (i, k - i))
     return Decision(True)
 
 

@@ -67,6 +67,9 @@ def reduce_unbounded_to_01(inst: KnapsackInstance) -> ReductionOutcome:
     t = inst.capacity
     if t < 1:
         raise ValueError("capacity must be at least 1")
+    if any(w == 0 and v > 0 for w, v in inst.items):
+        # Unlimited copies of a free positive item: no finite 0/1 image.
+        raise ValueError("zero-weight item with positive value: objective is unbounded")
     items = []
     for w, v in inst.items:
         for j in range(t.bit_length()):

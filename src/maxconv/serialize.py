@@ -9,112 +9,211 @@ instances serialise byte-identically.
 from __future__ import annotations
 
 import json
+import random
+from typing import Callable, NamedTuple
 
-from .core import Sequence
+from .core import Sequence, maxconv_values
 from .oracles import KnapsackInstance, NecklaceInstance, WeightedTree
-
-PROBLEMS = (
-    "maxconv",
-    "upperbound",
-    "lowerbound",
-    "superadd",
-    "knapsack01",
-    "uknapsack",
-    "mcsp",
-    "treesparsity",
-    "necklace",
-    "3sumconv",
-)
 
 
 class InstanceFormatError(ValueError):
     """Raised for malformed instance files."""
 
 
-def _int_list(payload: dict, key: str) -> list[int]:
-    val = payload.get(key)
-    if not isinstance(val, list) or not val:
-        raise InstanceFormatError(f"payload field {key!r} must be a non-empty array")
-    for v in val:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InstanceFormatError(f"payload field {key!r} must hold integers")
-    return val
+# ---------------------------------------------------------------------------
+# payload fields
 
 
-def _int_field(payload: dict, key: str, minimum: int = 0) -> int:
-    val = payload.get(key)
-    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-        raise InstanceFormatError(f"payload field {key!r} must be an integer >= {minimum}")
-    return val
+def _is_int(v, minimum: int | None = None) -> bool:
+    return not isinstance(v, bool) and isinstance(v, int) and (minimum is None or v >= minimum)
+
+
+def _ints(minimum: int | None = None, array: bool = True):
+    def check(key: str, val):
+        if not array:
+            if not _is_int(val, minimum):
+                raise InstanceFormatError(f"payload field {key!r} must be an integer >= {minimum}")
+        elif not isinstance(val, list) or not val:
+            raise InstanceFormatError(f"payload field {key!r} must be a non-empty array")
+        elif not all(_is_int(v, minimum) for v in val):
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise InstanceFormatError(f"payload field {key!r} must hold integers{bound}")
+        return val
+
+    return check
+
+
+def _items(key: str, val):
+    if not isinstance(val, list):
+        raise InstanceFormatError("items must be an array of [weight, value]")
+    if not all(isinstance(e, list) and len(e) == 2 and all(_is_int(v, 0) for v in e) for e in val):
+        raise InstanceFormatError("items must be [weight, value] pairs of non-negative ints")
+    return [list(e) for e in val]
+
+
+FIELDS: dict[str, Callable[[str, object], object]] = {
+    **dict.fromkeys(("a", "b", "c", "x", "y", "weight"), _ints()),
+    "parent": _ints(-1),
+    "items": _items,
+    **dict.fromkeys(("capacity", "k"), _ints(0, array=False)),
+    "circle_length": _ints(1, array=False),
+}
+
+
+# ---------------------------------------------------------------------------
+# generators (seeded, reproducible; biased so both verdicts occur)
+
+
+def _seq(rng: random.Random, n: int, w: int) -> list[int]:
+    return [rng.randint(-w, w) for _ in range(n)]
+
+
+def _gen_bound_triple(upper: bool):
+    def gen(rng, n, w, opts) -> dict:
+        a = _seq(rng, n, w)
+        b = _seq(rng, n, w)
+        roll = rng.random()
+        if roll < 0.5:
+            c = _seq(rng, n, 2 * w)
+        else:
+            c = maxconv_values(a, b, n - 1)
+            if roll < 0.75:
+                # Keep the answer YES: pad up for the upper bound, down for the lower.
+                slack = [rng.randint(0, 2) for _ in range(n)]
+                c = [v + s if upper else v - s for v, s in zip(c, slack)]
+            else:
+                idx = rng.randrange(n)
+                c[idx] += -1 - rng.randint(0, w) if upper else 1 + rng.randint(0, w)
+        return {"a": a, "b": b, "c": c}
+
+    return gen
+
+
+def _gen_3sumconv(rng, n, w, opts) -> dict:
+    a, b, c = _seq(rng, n, w), _seq(rng, n, w), _seq(rng, n, 2 * w)
+    if rng.random() < 0.5:
+        i = rng.randrange(n)
+        j = rng.randrange(n - i)
+        c[i + j] = a[i] + b[j]
+    return {"a": a, "b": b, "c": c}
+
+
+def _gen_superadd(rng, n, w, opts) -> dict:
+    roll = rng.random()
+    if roll < 0.5:
+        return {"a": _seq(rng, n, w)}
+    step = max(1, w // max(1, n - 1))
+    incs = sorted(rng.randint(0, step) for _ in range(n - 1))
+    seq = [0]
+    for inc in incs:
+        seq.append(seq[-1] + inc)
+    if roll >= 0.75 and n > 1:
+        seq[rng.randrange(1, n)] += rng.randint(1, 3)
+    return {"a": seq}
+
+
+def _gen_knapsack(rng, n, w, opts) -> dict:
+    t = opts["t"] if opts.get("t") else max(1, 2 * n)
+    items = [[rng.randint(1, t), rng.randint(0, w)] for _ in range(n)]
+    return {"items": items, "capacity": t}
+
+
+def _gen_tree(rng, n, w, opts) -> dict:
+    parent = [-1] + [rng.randint(0, i - 1) for i in range(1, n)]
+    weight = [rng.randint(0, w) for _ in range(n)]
+    k = opts["k"] if opts.get("k") is not None else rng.randint(0, n)
+    return {"parent": parent, "weight": weight, "k": k}
+
+
+def _gen_necklace(rng, n, w, opts) -> dict:
+    circle = opts["circle"] if opts.get("circle") else max(4, 8 * n)
+    return {
+        "x": sorted(rng.randint(0, circle) for _ in range(n)),
+        "y": sorted(rng.randint(0, circle) for _ in range(n)),
+        "circle_length": circle,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the problem table
+
+
+class Problem(NamedTuple):
+    """What an instance of one problem is: its payload fields (checked by
+    ``FIELDS``, where a name means the same thing in every problem), the typed
+    objects the solvers take, and a seeded generator ``gen(rng, n, values, opts)``."""
+
+    fields: tuple[str, ...]
+    objects: Callable[[dict], tuple]
+    gen: Callable[[random.Random, int, int, dict], dict]
+
+
+def _sequences(fields: tuple[str, ...], gen) -> Problem:
+    return Problem(fields, lambda p: tuple(Sequence(p[f]) for f in fields), gen)
+
+
+def _knapsack(mode: str) -> Problem:
+    def objects(p):
+        return (KnapsackInstance(tuple((w, v) for w, v in p["items"]), p["capacity"], mode),)
+
+    return Problem(("items", "capacity"), objects, _gen_knapsack)
+
+
+PROBLEMS: dict[str, Problem] = {
+    "maxconv": _sequences(
+        ("a", "b"), lambda rng, n, w, o: {"a": _seq(rng, n, w), "b": _seq(rng, n, w)}
+    ),
+    "upperbound": _sequences(("a", "b", "c"), _gen_bound_triple(upper=True)),
+    "lowerbound": _sequences(("a", "b", "c"), _gen_bound_triple(upper=False)),
+    "superadd": _sequences(("a",), _gen_superadd),
+    "knapsack01": _knapsack("zero_one"),
+    "uknapsack": _knapsack("unbounded"),
+    "mcsp": _sequences(("a",), lambda rng, n, w, o: {"a": _seq(rng, n, w)}),
+    "treesparsity": Problem(
+        ("parent", "weight", "k"),
+        lambda p: (WeightedTree(tuple(p["parent"]), tuple(p["weight"])), p["k"]),
+        _gen_tree,
+    ),
+    "necklace": Problem(
+        ("x", "y", "circle_length"),
+        lambda p: (NecklaceInstance(tuple(p["x"]), tuple(p["y"]), p["circle_length"]),),
+        _gen_necklace,
+    ),
+    "3sumconv": _sequences(("a", "b", "c"), _gen_3sumconv),
+}
+
+
+def _problem(tag) -> Problem:
+    try:
+        return PROBLEMS[tag]
+    except (KeyError, TypeError):
+        raise InstanceFormatError(f"unknown problem tag {tag!r}") from None
+
+
+def gen_payload(problem: str, rng: random.Random, opts: dict) -> dict:
+    """Seeded instance of size ``opts["n"]`` with values within ``opts["values"]``."""
+    spec = _problem(problem)
+    if opts["n"] < 1:
+        raise InstanceFormatError("instance size n must be at least 1")
+    return spec.gen(rng, opts["n"], opts["values"], opts)
 
 
 def validate_payload(problem: str, payload: dict) -> dict:
     """Check the payload against the problem schema; return it normalised."""
-    if problem not in PROBLEMS:
-        raise InstanceFormatError(f"unknown problem tag {problem!r}")
+    spec = _problem(problem)
     if not isinstance(payload, dict):
         raise InstanceFormatError("payload must be an object")
-    try:
-        if problem == "maxconv":
-            a = _int_list(payload, "a")
-            b = _int_list(payload, "b")
-            if len(a) != len(b):
-                raise InstanceFormatError("a and b must have equal lengths")
-            return {"a": a, "b": b}
-        if problem in ("upperbound", "lowerbound", "3sumconv"):
-            a = _int_list(payload, "a")
-            b = _int_list(payload, "b")
-            c = _int_list(payload, "c")
-            if len(a) != len(b) or len(a) != len(c):
-                raise InstanceFormatError("a, b, c must have equal lengths")
-            return {"a": a, "b": b, "c": c}
-        if problem in ("superadd", "mcsp"):
-            return {"a": _int_list(payload, "a")}
-        if problem in ("knapsack01", "uknapsack"):
-            raw = payload.get("items")
-            if not isinstance(raw, list):
-                raise InstanceFormatError("items must be an array of [weight, value]")
-            items = []
-            for entry in raw:
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in entry)
-                ):
-                    raise InstanceFormatError("items must be [weight, value] pairs of non-negative ints")
-                items.append([entry[0], entry[1]])
-            return {"items": items, "capacity": _int_field(payload, "capacity")}
-        if problem == "treesparsity":
-            parent = payload.get("parent")
-            if not isinstance(parent, list) or not parent:
-                raise InstanceFormatError("parent must be a non-empty array")
-            for v in parent:
-                if isinstance(v, bool) or not isinstance(v, int) or v < -1:
-                    raise InstanceFormatError("parent entries must be ints >= -1")
-            weight = _int_list(payload, "weight")
-            k = _int_field(payload, "k")
-            if k > len(parent):
-                raise InstanceFormatError("k exceeds the node count")
-            return {"parent": parent, "weight": weight, "k": k}
-        if problem == "necklace":
-            return {
-                "x": _int_list(payload, "x"),
-                "y": _int_list(payload, "y"),
-                "circle_length": _int_field(payload, "circle_length", minimum=1),
-            }
-    except InstanceFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(str(exc)) from exc
-    raise AssertionError("unreachable")
+    out = {key: FIELDS[key](key, payload.get(key)) for key in spec.fields}
+    operands = [key for key in ("a", "b", "c") if key in out]
+    if len({len(out[key]) for key in operands}) > 1:
+        raise InstanceFormatError(f"{', '.join(operands)} must have equal lengths")
+    if "k" in out and out["k"] > len(out["parent"]):
+        raise InstanceFormatError("k exceeds the node count")
+    return out
 
 
 def dump_instance(problem: str, payload: dict, meta: dict | None = None) -> str:
-    doc = {
-        "problem": problem,
-        "payload": validate_payload(problem, payload),
-        "meta": meta or {},
-    }
+    doc = {"problem": problem, "payload": validate_payload(problem, payload), "meta": meta or {}}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -135,25 +234,4 @@ def parse_instance(text: str) -> dict:
 
 def payload_objects(problem: str, payload: dict):
     """Turn a validated payload into the typed objects the solvers take."""
-    if problem == "maxconv":
-        return (Sequence(payload["a"]), Sequence(payload["b"]))
-    if problem in ("upperbound", "lowerbound", "3sumconv"):
-        return (Sequence(payload["a"]), Sequence(payload["b"]), Sequence(payload["c"]))
-    if problem in ("superadd", "mcsp"):
-        return (Sequence(payload["a"]),)
-    if problem == "knapsack01":
-        items = tuple((w, v) for w, v in payload["items"])
-        return (KnapsackInstance(items, payload["capacity"], "zero_one"),)
-    if problem == "uknapsack":
-        items = tuple((w, v) for w, v in payload["items"])
-        return (KnapsackInstance(items, payload["capacity"], "unbounded"),)
-    if problem == "treesparsity":
-        tree = WeightedTree(tuple(payload["parent"]), tuple(payload["weight"]))
-        return (tree, payload["k"])
-    if problem == "necklace":
-        return (
-            NecklaceInstance(
-                tuple(payload["x"]), tuple(payload["y"]), payload["circle_length"]
-            ),
-        )
-    raise InstanceFormatError(f"unknown problem tag {problem!r}")
+    return _problem(problem).objects(payload)

@@ -1,17 +1,38 @@
 """CLI harness: generation determinism, round trips, exit codes."""
 
+import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from maxconv.cli import main
+from maxconv.cli import METHODS, main
 from maxconv.serialize import (
+    PROBLEMS,
     InstanceFormatError,
     dump_instance,
     parse_instance,
 )
+
+TAGS = (
+    "maxconv",
+    "upperbound",
+    "lowerbound",
+    "superadd",
+    "knapsack01",
+    "uknapsack",
+    "mcsp",
+    "treesparsity",
+    "necklace",
+    "3sumconv",
+)
+# sha256 over every `gen` output of test_gen_is_byte_identical_for_same_seed,
+# in its loop order.  Any change to a generator or to the file format moves it.
+GEN_DIGEST = "d90c612c32b3894175d5b1e3e9804fe322b60b91781c6259c6f6b3bcd863306a"
+DOCS = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -22,11 +43,25 @@ def run_cli(args):
 
 
 def test_gen_is_byte_identical_for_same_seed():
-    args = ["gen", "--problem", "maxconv", "--n", "4", "--values", "3", "--seed", "1"]
-    code1, out1 = run_cli(args)
-    code2, out2 = run_cli(args)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    digest = hashlib.sha256()
+    for tag in TAGS:
+        for seed in range(5):
+            for extra in ([], ["--t", "7"], ["--k", "2"], ["--circle", "9"]):
+                code, out = run_cli(
+                    ["gen", "--problem", tag, "--n", str(2 + seed), "--values", "30",
+                     "--seed", str(seed), *extra]
+                )
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == GEN_DIGEST
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_gen_rejects_sizes_below_one(tag):
+    for n in (0, -3):
+        for seed in range(10):
+            code, out = run_cli(["gen", "--problem", tag, "--n", str(n), "--seed", str(seed)])
+            assert (code, out) == (1, "")
 
 
 def test_gen_single_element_superadd():
@@ -174,3 +209,26 @@ def test_bench_rejects_unsorted_sizes():
         ["bench", "--problem", "maxconv", "--method", "naive", "--sizes", "16,8"]
     )
     assert code == 1
+
+
+def test_uknapsack_unbounded_objective_is_an_input_error(tmp_path):
+    path = tmp_path / "free.json"
+    path.write_text(dump_instance("uknapsack", {"items": [[0, 2]], "capacity": 3}))
+    for method in METHODS["uknapsack"]:
+        code, out = run_cli(["solve", "--input", str(path), "--method", method])
+        assert (code, out) == (1, "")
+
+
+def test_docs_list_the_registered_problems_and_methods():
+    fmt = (DOCS / "docs" / "format.md").read_text()
+    table = re.findall(r"^\| `([^`]+)` +\|", fmt, re.M)
+    assert sorted(table) == sorted(PROBLEMS)
+    readme = (DOCS / "README.md").read_text()
+    start = readme.index("Methods per problem (first is the reference):")
+    listing = " ".join(readme[start : readme.index("\n\n", start)].split())
+    documented = {
+        problem: re.findall(r"`([^`]+)`", methods)
+        for problem, methods in re.findall(r"`([^`]+)`: ((?:`[^`]+`(?:, )?)+)", listing)
+    }
+    assert documented == {p: list(m) for p, m in METHODS.items()}
+    assert list(documented) == list(METHODS)

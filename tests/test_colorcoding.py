@@ -6,7 +6,6 @@ import pytest
 
 from maxconv import (
     KnapsackInstance,
-    RandConfig,
     color_coding,
     color_coding_layer,
     knapsack01_dp,
@@ -132,12 +131,15 @@ def test_knapsack_rand_never_exceeds_dp_seed5004():
         assert all(x <= y for x, y in zip(prof, dp))
 
 
-def test_rand_config_validation():
-    cfg = RandConfig(delta=0.05, seed=7)
-    assert cfg.kernel in ("naive", "python")
+def test_knapsack_rand_validates_arguments():
+    items = [(1, 3), (2, 5)]
+    assert len(knapsack_rand(items, 3, 0.05, 7)) == 4
     with pytest.raises(ValueError):
-        RandConfig(delta=0.5, seed=7)
+        knapsack_rand(items, 3, 0.5, 7)
+    with pytest.raises(TypeError):
+        knapsack_rand(items, 3, 0.05, "x")
     with pytest.raises(ValueError):
-        RandConfig(delta=0.05, seed="x")
-    with pytest.raises(ValueError):
-        RandConfig(delta=0.05, seed=7, kernel="missing")
+        knapsack_rand(items, 3, 0.05, 7, kernel="missing")
+    # Checked before the degenerate shortcuts, not only when joins run.
+    with pytest.raises(TypeError):
+        knapsack_rand([], 0, 0.05, "x")

@@ -16,7 +16,7 @@ from maxconv import (
     normalize_nonneg_monotone,
 )
 
-from helpers import brute_maxconv, brute_superadd, rand_seq
+from helpers import brute_maxconv, brute_superadd, rand_seq, rand_superadd_candidate
 
 
 def test_maxconv_identity_case():
@@ -133,16 +133,31 @@ def test_is_superadditive_examples():
     assert [1, 0][i] + [1, 0][j] > [1, 0][i + j]
 
 
+def _first_superadd_violation(a):
+    # Scan order of the witness: k ascending, then i ascending (i <= k - i).
+    for k in range(len(a)):
+        for i in range(k // 2 + 1):
+            if a[i] + a[k - i] > a[k]:
+                return (i, k - i)
+    return None
+
+
 def test_predicate_witnesses_are_genuine_seed1005():
     rng = random.Random(1005)
-    for _ in range(400):
-        n = rng.randint(1, 16)
-        a = rand_seq(rng, n, 10)
+    cases = [rand_seq(rng, rng.randint(1, 16), 10) for _ in range(400)]
+    # Lengths around the point where the kernel leaves its plain loop, with
+    # near misses so that violations sit deep in the scan.
+    cases += [rand_superadd_candidate(rng, n, 10 * n) for n in (255, 256, 300) for _ in range(12)]
+    verdicts = set()
+    for a in cases:
         dec = is_superadditive(a)
         assert dec.holds == brute_superadd(a)
+        verdicts.add((len(a) >= 255, dec.holds))
         if not dec.holds:
             i, j = dec.witness
             assert a[i] + a[j] > a[i + j]
+        assert dec.witness == _first_superadd_violation(a)
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_normalize_examples():
