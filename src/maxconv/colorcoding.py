@@ -4,9 +4,14 @@ Items are split into weight layers so that layer i can contribute at most
 2^i items to any feasible packing.  Within a layer, a random partition
 spreads any small solution across parts with constant probability, a few
 repetitions boost that to 1 - delta, and part profiles (choose at most one
-item) are folded together with truncated max-plus convolutions.  Error is
-one-sided: every profile entry produced anywhere is achievable by a real
-subset of items, so results never exceed the exact optimum.
+item) are folded together.  A part profile is a step function and the
+profile it joins is non-decreasing, so that join is the maximum of a few
+shifted copies, one per jump of the step function: O(t) numpy work per
+jump instead of a quadratic kernel call.  Layer merges and the final
+accumulation are general truncated max-plus convolutions on the selected
+kernel.  Error is one-sided: every profile entry produced anywhere is
+achievable by a real subset of items, so results never exceed the exact
+optimum.
 
 Randomness is fully reproducible: a single integer seed feeds a splittable
 numpy SeedSequence, one child per layer / trial / partition draw, and all
@@ -20,7 +25,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import Kernel, maxconv_values, resolve_kernel
+from .core import WORD_MAX, Kernel, maxconv_values, resolve_kernel
 from .oracles import ValueProfile, _check_int
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -65,6 +70,44 @@ def _part_best(part: list[tuple[int, int]], limit: int) -> list[int]:
     return best
 
 
+def _part_steps(part: list[tuple[int, int]], limit: int) -> list[tuple[int, int]]:
+    """Jumps (w, value) of the part profile, in increasing w: the items that
+    fit the limit and are worth more than every lighter or equally heavy
+    item listed before them."""
+    steps = []
+    run = 0
+    for w, v in sorted(part, key=lambda item: (item[0], -item[1])):
+        if w > limit:
+            break
+        if v > run:
+            steps.append((w, v))
+            run = v
+    return steps
+
+
+def _join_part(cur: np.ndarray, part: list[tuple[int, int]]) -> np.ndarray:
+    """(max,+) join of a non-decreasing int64 profile with the part profile,
+    truncated at len(cur) - 1.
+
+    Because cur is non-decreasing, the best split inside a constant stretch
+    of the part profile takes its lightest point, so the join is cur
+    maximised with cur shifted right by w plus the value, for each jump.
+    """
+    limit = len(cur) - 1
+    steps = _part_steps(part, limit)
+    top = steps[-1][1] if steps else 0
+    # The kernels' overflow condition (cur[-1] is its maximum), checked
+    # before any int64 arithmetic.
+    if int(cur[-1]) + top > WORD_MAX:
+        raise OverflowError("convolution sums leave the 64-bit word")
+    out = cur.copy()
+    buf = np.empty_like(cur)
+    for w, v in steps:
+        shifted = np.add(cur[: limit + 1 - w], v, out=buf[: limit + 1 - w])
+        np.maximum(out[w:], shifted, out=out[w:])
+    return out
+
+
 def _join(p: list[int], q: list[int], limit: int, kernel: Kernel) -> list[int]:
     assert limit <= len(p) + len(q) - 2
     return maxconv_values(p, q, limit, kernel)
@@ -82,41 +125,37 @@ def color_coding(
     k: int,
     delta: float,
     rng: SeedLike,
-    kernel: str | Kernel | None = None,
 ) -> ValueProfile:
     """Profile covering every solution of at most k items, with probability
     at least 1 - delta per entry.
 
     Each trial partitions the items into k^2 parts uniformly at random and
-    joins the at-most-one-item part profiles; a solution of <= k items
-    lands in pairwise distinct parts with probability >= 1/4, so repeating
-    ceil(log_{4/3}(1/delta)) trials and taking the pointwise maximum gives
-    the bound.  Output entries are always achievable (one-sided error).
+    joins the at-most-one-item part profiles (step-profile joins, no kernel
+    call); a solution of <= k items lands in pairwise distinct parts with
+    probability >= 1/4, so repeating ceil(log_{4/3}(1/delta)) trials and
+    taking the pointwise maximum gives the bound.  Output entries are always
+    achievable (one-sided error).
     """
     zs = _clean_items(items)
     _check_int(t, "capacity")
     _check_int(k, "solution size bound", minimum=1)
     if not isinstance(delta, (int, float)) or not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    kern = resolve_kernel(kernel)
     trials = max(1, math.ceil(math.log(1 / delta) / math.log(4 / 3)))
     parts_total = k * k
     root = _seedseq(rng)
-    best = [0] * (t + 1)
+    best = np.zeros(t + 1, dtype=np.int64)
     for trial_seq in root.spawn(trials):
         gen = np.random.Generator(np.random.PCG64(trial_seq))
         buckets: dict[int, list[tuple[int, int]]] = {}
         if zs:
             for item, part in zip(zs, gen.integers(0, parts_total, size=len(zs))):
                 buckets.setdefault(int(part), []).append(item)
-        cur: list[int] | None = None
+        cur = np.zeros(t + 1, dtype=np.int64)
         for part_idx in sorted(buckets):
-            prof = _part_best(buckets[part_idx], t)
-            cur = prof if cur is None else _join(cur, prof, t, kern)
-        if cur is None:
-            cur = [0] * (t + 1)
-        best = [max(x, y) for x, y in zip(best, cur)]
-    return ValueProfile(tuple(best))
+            cur = _join_part(cur, buckets[part_idx])
+        np.maximum(best, cur, out=best)
+    return ValueProfile(tuple(best.tolist()))
 
 
 def color_coding_layer(
@@ -151,7 +190,7 @@ def color_coding_layer(
     root = _seedseq(rng)
     log_ld = math.log2(l / delta)
     if l < log_ld:
-        return color_coding(zs, t, l, delta, root, kern)
+        return color_coding(zs, t, l, delta, root)
     m = 1 << max(0, math.ceil(math.log2(l / log_ld)))
     gamma = max(1, math.ceil(6 * log_ld))
     cap = min(t, math.ceil(2 * gamma * t / l))
@@ -162,7 +201,7 @@ def color_coding_layer(
         for item, part in zip(zs, gen.integers(0, m, size=len(zs))):
             parts[int(part)].append(item)
     profs = [
-        list(color_coding(parts[j], cap, gamma, delta / l, seqs[j + 1], kern).best)
+        list(color_coding(parts[j], cap, gamma, delta / l, seqs[j + 1]).best)
         for j in range(m)
     ]
     level = 1

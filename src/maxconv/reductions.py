@@ -58,15 +58,13 @@ def _constant_outcome(target: str, value, reason: str) -> ReductionOutcome:
 
 def reduce_unbounded_to_01(inst: KnapsackInstance) -> ReductionOutcome:
     """Binary-expand multiplicities: item (w, v) becomes (2^j w, 2^j v) for
-    every j up to floor(log2 t).  Any multiplicity <= t decomposes over the
-    doubled copies, and any 0/1 selection maps back to a multiset, so the
-    optima agree at every capacity up to t.
+    every j up to floor(log2 t) (none at t = 0).  Any multiplicity <= t
+    decomposes over the doubled copies, and any 0/1 selection maps back to a
+    multiset, so the optima agree at every capacity up to t.
     """
     if inst.mode != "unbounded":
         raise ValueError("source instance must be unbounded")
     t = inst.capacity
-    if t < 1:
-        raise ValueError("capacity must be at least 1")
     if any(w == 0 and v > 0 for w, v in inst.items):
         # Unlimited copies of a free positive item: no finite 0/1 image.
         raise ValueError("zero-weight item with positive value: objective is unbounded")

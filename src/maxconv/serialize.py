@@ -113,8 +113,10 @@ def _gen_superadd(rng, n, w, opts) -> dict:
 
 
 def _gen_knapsack(rng, n, w, opts) -> dict:
-    t = opts["t"] if opts.get("t") else max(1, 2 * n)
-    items = [[rng.randint(1, t), rng.randint(0, w)] for _ in range(n)]
+    t = opts["t"] if opts.get("t") is not None else max(1, 2 * n)
+    # Weights in 1..max(1, t): at capacity 0 no item fits.  A negative t is
+    # refused by the payload check on "capacity".
+    items = [[rng.randint(1, max(1, t)), rng.randint(0, w)] for _ in range(n)]
     return {"items": items, "capacity": t}
 
 
@@ -126,7 +128,9 @@ def _gen_tree(rng, n, w, opts) -> dict:
 
 
 def _gen_necklace(rng, n, w, opts) -> dict:
-    circle = opts["circle"] if opts.get("circle") else max(4, 8 * n)
+    circle = opts["circle"] if opts.get("circle") is not None else max(4, 8 * n)
+    if circle < 1:
+        raise InstanceFormatError("necklace circumference circle must be at least 1")
     return {
         "x": sorted(rng.randint(0, circle) for _ in range(n)),
         "y": sorted(rng.randint(0, circle) for _ in range(n)),

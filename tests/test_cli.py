@@ -82,6 +82,32 @@ def test_gen_knapsack_weights_in_range():
     assert all(1 <= w <= 10 for w, _ in items)
 
 
+def test_gen_honours_zero_capacity():
+    for tag in ("knapsack01", "uknapsack"):
+        for seed in range(5):
+            code, out = run_cli(
+                ["gen", "--problem", tag, "--n", "3", "--t", "0", "--seed", str(seed)]
+            )
+            assert code == 0
+            doc = parse_instance(out)
+            assert doc["payload"]["capacity"] == 0
+            assert doc["meta"]["generator"]["t"] == 0
+            assert all(w == 1 for w, _ in doc["payload"]["items"])
+    code, out = run_cli(["gen", "--problem", "knapsack01", "--n", "3", "--t", "-1"])
+    assert (code, out) == (1, "")
+
+
+def test_gen_circle_is_honoured_down_to_one():
+    code, out = run_cli(["gen", "--problem", "necklace", "--n", "4", "--circle", "1"])
+    assert code == 0
+    payload = parse_instance(out)["payload"]
+    assert payload["circle_length"] == 1
+    assert all(0 <= p <= 1 for p in payload["x"] + payload["y"])
+    for circle in ("0", "-2"):
+        code, out = run_cli(["gen", "--problem", "necklace", "--n", "4", "--circle", circle])
+        assert (code, out) == (1, "")
+
+
 def test_serialize_round_trip_is_exact():
     payload = {"a": [3, -1, 2], "b": [0, 5, -2]}
     text = dump_instance("maxconv", payload, {"seed": 9})
@@ -217,6 +243,18 @@ def test_uknapsack_unbounded_objective_is_an_input_error(tmp_path):
     for method in METHODS["uknapsack"]:
         code, out = run_cli(["solve", "--input", str(path), "--method", method])
         assert (code, out) == (1, "")
+
+
+def test_uknapsack_methods_agree_at_capacity_zero(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(dump_instance("uknapsack", {"items": [[1, 2]], "capacity": 0}))
+    answers = {}
+    for method in METHODS["uknapsack"]:
+        code, out = run_cli(["solve", "--input", str(path), "--method", method, "--check"])
+        report = json.loads(out)
+        assert (code, report["oracle_agreement"]) == (0, True)
+        answers[method] = report["answer"]
+    assert answers["via-01"] == answers["dp"] == {"profile": [0], "value_at_capacity": 0}
 
 
 def test_docs_list_the_registered_problems_and_methods():

@@ -1,7 +1,10 @@
 """Randomised knapsack: soundness is absolute, completeness statistical."""
 
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
 
 from maxconv import (
@@ -12,8 +15,40 @@ from maxconv import (
     knapsack_rand,
     part_profile,
 )
+from maxconv.colorcoding import _join_part, _part_best
+from maxconv.core import maxconv_values
 
 from helpers import rand_items
+
+# sha256 over the profiles of test_profiles_are_pinned_by_seed, in its loop
+# order, recorded while every part join still ran on the dense kernel.  Any
+# change to the seeds-to-profiles mapping moves it.
+PROFILE_DIGEST = "f21a59d6b5076d9d2ade8cc842ef863844d70b693578fff78ff26feaddc187a8"
+
+# (items, t, color_coding's profile when every join ran on the dense kernel,
+# None where that raised OverflowError for every seed below)
+HUGE = [
+    ([(1, 2**62 + 5), (2, 2**62 + 5)], 3, None),
+    ([(1, 2**63 + 5)], 3, [0] + [2**63 + 5] * 3),
+    ([(0, 2**63 - 1), (1, 1)], 2, None),
+]
+
+
+def _golden_cases():
+    # Zero weights, weights above t, duplicate weights and t = 0 all occur;
+    # the four large cases reach color_coding_layer's merge path.
+    yield 0, [(0, 5), (1, 2)]
+    yield 3, [(0, 4), (0, 7), (2, 3), (2, 9), (5, 8)]
+    yield 4, [(1, 1), (1, 1), (1, 1)]
+    rng = random.Random(5006)
+    for _ in range(80):
+        t = rng.choice([0, 1, 2, 7, 16, 45])
+        n = rng.randint(0, 9)
+        yield t, [(rng.randint(0, t + 3), rng.randint(0, 30)) for _ in range(n)]
+    for _ in range(4):
+        t = rng.randint(150, 300)
+        n = rng.randint(30, 60)
+        yield t, [(rng.randint(0, t + 10), rng.randint(0, 1000)) for _ in range(n)]
 
 
 def test_part_profile_examples():
@@ -143,3 +178,51 @@ def test_knapsack_rand_validates_arguments():
     # Checked before the degenerate shortcuts, not only when joins run.
     with pytest.raises(TypeError):
         knapsack_rand([], 0, 0.05, "x")
+
+
+def test_profiles_are_pinned_by_seed():
+    digest = hashlib.sha256()
+    for seed, (t, items) in enumerate(_golden_cases()):
+        for delta in (0.05, 0.25):
+            digest.update(json.dumps(list(knapsack_rand(items, t, delta, seed))).encode())
+        for k in (1, 3):
+            digest.update(json.dumps(list(color_coding(items, t, k, 0.2, seed))).encode())
+    assert digest.hexdigest() == PROFILE_DIGEST
+
+
+def test_join_part_matches_dense_join_seed5007():
+    rng = random.Random(5007)
+    for _ in range(400):
+        limit = rng.randint(0, 30)
+        cur = [rng.randint(-50, 50)]
+        for _ in range(limit):
+            cur.append(cur[-1] + rng.choice([0, 0, rng.randint(1, 9)]))
+        # empty, small, and more items than limit + 1 (duplicates forced)
+        size = rng.choice([0, 1, rng.randint(2, 5), limit + rng.randint(2, 8)])
+        part = [(rng.randint(0, limit + 4), rng.randint(0, 40)) for _ in range(size)]
+        arr = np.array(cur, dtype=np.int64)
+        got = _join_part(arr, part)
+        assert got.dtype == np.int64
+        assert got.tolist() == maxconv_values(cur, _part_best(part, limit), limit)
+        assert arr.tolist() == cur  # the input profile is left as it was
+
+
+@pytest.mark.parametrize("items, t, dense", HUGE)
+def test_overflow_raises_where_the_dense_join_did(items, t, dense):
+    for seed in range(6):
+        with pytest.raises(OverflowError):
+            knapsack_rand(items, t, 0.25, seed)
+        try:
+            prof = color_coding(items, t, 2, 0.25, seed)
+        except OverflowError:
+            continue
+        # never a wrapped or float entry: the exact profile or nothing
+        assert dense is not None and list(prof) == dense
+
+
+def test_sums_at_the_word_limit_stay_exact():
+    items = [(1, 2**62), (2, 2**62 - 1)]
+    exact = [0, 2**62, 2**62, 2**63 - 1]
+    for seed in range(10):
+        assert list(knapsack_rand(items, 3, 0.25, seed)) == exact
+        assert list(color_coding(items, 3, 2, 0.25, seed)) == exact

@@ -70,9 +70,16 @@ def test_unbounded_to_01_random_profiles_seed3001():
         assert out.interpret([got]) == want[t]
 
 
-def test_unbounded_to_01_requires_positive_capacity():
-    with pytest.raises(ValueError):
-        reduce_unbounded_to_01(KnapsackInstance((), 0, "unbounded"))
+def test_unbounded_to_01_at_capacity_zero():
+    for items in ((), ((1, 2),), ((0, 0), (3, 4))):
+        src = KnapsackInstance(items, 0, "unbounded")
+        out = reduce_unbounded_to_01(src)
+        got = knapsack01_dp(out.instances[0])
+        assert list(got) == list(unbounded_knapsack_dp(src)) == [0]
+        assert out.interpret([got]) == 0
+    # the unbounded objective is still refused first
+    with pytest.raises(ValueError, match="unbounded"):
+        reduce_unbounded_to_01(KnapsackInstance(((0, 3),), 0, "unbounded"))
 
 
 # ---------------------------------------------------------------------------
