@@ -18,13 +18,35 @@ import numpy as np
 
 WORD_MAX = 2**63 - 1
 
-# Worst value growth any construction in this package produces is
-# n * W * L^2 with L = 10 plus block offsets; 400 covers all of it.
+# Sequence accepts n values only while n * max(1, max|v|) * 400 <= 2^63 - 1,
+# so sums of a few hundred times an input's total weight stay in the word.
+# That is a rule on inputs, not a bound every construction in the package
+# keeps: some reductions grow values faster and are refused by a Sequence
+# they build themselves (ROADMAP item 5).
 _HEADROOM = 400
 
 # Below this many candidate cells the plain Python loop beats numpy call
 # overhead; both code paths run the identical enumeration.
 _VECTOR_CUTOFF = 2048
+
+
+def _int_values(values: Iterable) -> Union[list, tuple]:
+    """The integer check behind Sequence and maxconv_values.
+
+    Returns ``values`` itself when it is a list or tuple of plain ints (one
+    pass at C speed); otherwise a list with ``np.integer`` values converted.
+    ``bool`` and every non-integer raise TypeError.
+    """
+    if not isinstance(values, (list, tuple)):
+        values = tuple(values)
+    if set(map(type, values)) == {int}:
+        return values
+    vals = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise TypeError(f"sequence values must be integers, got {v!r}")
+        vals.append(int(v))
+    return vals
 
 
 class Sequence:
@@ -38,19 +60,15 @@ class Sequence:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        vals = []
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise TypeError(f"sequence values must be integers, got {v!r}")
-            vals.append(int(v))
+        vals = tuple(_int_values(values))
         if not vals:
             raise ValueError("sequences must be non-empty")
-        bound = max(1, max(abs(v) for v in vals))
+        bound = max(1, max(vals), -min(vals))
         if len(vals) * bound * _HEADROOM > WORD_MAX:
             raise ValueError(
                 "sequence rejected: n * max|value| * 400 exceeds the 64-bit word"
             )
-        self.values: tuple[int, ...] = tuple(vals)
+        self.values: tuple[int, ...] = vals
 
     def __len__(self) -> int:
         return len(self.values)
@@ -179,7 +197,13 @@ def resolve_kernel(kernel: str | Kernel | None = None) -> Kernel:
 def maxconv_values(
     a: list, b: list, limit: int | None = None, kernel: str | Kernel | None = None
 ) -> list:
-    """(max,+)-convolution of raw integer lists, truncated at index ``limit``."""
+    """(max,+)-convolution of raw integer lists, truncated at index ``limit``.
+
+    Operands get Sequence's integer check (TypeError on floats, bools and
+    other non-integers) but not its headroom rule; sums that leave the
+    64-bit word raise OverflowError in the kernel.
+    """
+    a, b = _int_values(a), _int_values(b)
     if not a or not b:
         raise ValueError("convolution operands must be non-empty")
     full = len(a) + len(b) - 2
@@ -248,8 +272,17 @@ def check_upper_bound(
     On failure the witness is the lexicographically first violating (i, j).
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = _require_equal_lengths(av, bv, cv)
-    conv = maxconv_values(av, bv, n - 1, kernel)
+    _require_equal_lengths(av, bv, cv)
+    return _dominates(av, bv, cv, kernel)
+
+
+def _dominates(
+    av: list, bv: list, cv: list, kernel: str | Kernel | None = None
+) -> Decision:
+    """check_upper_bound on non-empty, equal-length lists that have already
+    passed the Sequence checks; only the kernel's overflow guard runs."""
+    n = len(av)
+    conv = resolve_kernel(kernel)(av, bv, n - 1)
     for k in range(n):
         if conv[k] > cv[k]:
             for i in range(max(0, k - n + 1), min(k, n - 1) + 1):

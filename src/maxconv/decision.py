@@ -8,6 +8,12 @@ index; finally a per-coordinate binary search on candidate values
 converges to the exact convolution.  With the quadratic oracle this is a
 correctness construction, not a speedup, and the module is written for
 auditability rather than pace.
+
+Inputs are checked where they enter: each public function runs the
+Sequence checks on its own arguments, once per call.  The default oracle
+is ``core._dominates``, the same dominance test as ``check_upper_bound``
+minus that check: it only ever sees slices of lists detect_single has
+already checked.  A caller-supplied oracle receives plain lists.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Decision, Sequence, SequenceLike, as_values, check_upper_bound
+from .core import Decision, Sequence, SequenceLike, _dominates, as_values
 
 UpperBoundOracle = Callable[[list, list, list], Decision]
 
@@ -37,7 +43,7 @@ def detect_single(
     a: SequenceLike,
     b: SequenceLike,
     c: SequenceLike,
-    upper_bound_oracle: UpperBoundOracle = check_upper_bound,
+    upper_bound_oracle: UpperBoundOracle = _dominates,
 ) -> int | None:
     """Smallest output index carrying a violation, or None if c dominates.
 
@@ -69,7 +75,7 @@ def detect_violations(
     a: SequenceLike,
     b: SequenceLike,
     c: SequenceLike,
-    upper_bound_oracle: UpperBoundOracle = check_upper_bound,
+    upper_bound_oracle: UpperBoundOracle = _dominates,
 ) -> ViolationReport:
     """Report every violated output index, each exactly once.
 
@@ -80,6 +86,11 @@ def detect_violations(
     all feasible sums, so it can never be reported again.  Out-of-range c
     entries read as K; a/b padding uses -K and therefore never violates.
     The caller's c is left untouched.
+
+    K = 2*n*w + 1, with w = max(1, max |value|) over a, b and c.  Every
+    window holds K or -K and is checked as a Sequence of length 2*s (s the
+    interval length), so inputs with 800 * s * K > 2^63 - 1 raise
+    ValueError ("sequence rejected ..."), never a wrong report.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
     n = len(av)
@@ -126,13 +137,15 @@ def detect_violations(
 def max_conv_via_upperbound(
     a: SequenceLike,
     b: SequenceLike,
-    upper_bound_oracle: UpperBoundOracle = check_upper_bound,
+    upper_bound_oracle: UpperBoundOracle = _dominates,
 ) -> Sequence:
     """Equal-length max-plus convolution using only the decision oracle.
 
     Keeps per-index bounds lo..hi on the answer; each round probes the
     midpoints, marks the violated coordinates, and halves every interval,
-    finishing within ceil(log2(value range)) + 1 rounds.
+    finishing within ceil(log2(value range)) + 1 rounds.  The probes lie
+    between min(a) + min(b) and max(a) + max(b), and detect_violations'
+    ValueError bound applies to them.
     """
     av, bv = as_values(a), as_values(b)
     n = len(av)

@@ -1,7 +1,9 @@
 """Kernels, decision predicates, and normalization."""
 
+import enum
 import random
 
+import numpy as np
 import pytest
 
 from maxconv import (
@@ -194,6 +196,101 @@ def test_sequence_validation():
         Sequence([True])
     with pytest.raises(ValueError):
         Sequence([2**60])  # no headroom for the documented blowups
+
+
+WORD_MAX = 2**63 - 1
+
+
+def _reference_sequence_values(values):
+    """Sequence's checks as a per-element loop: the reference for the
+    shared integer check."""
+    vals = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise TypeError(f"sequence values must be integers, got {v!r}")
+        vals.append(int(v))
+    if not vals:
+        raise ValueError("sequences must be non-empty")
+    bound = max(1, max(abs(v) for v in vals))
+    if len(vals) * bound * 400 > WORD_MAX:
+        raise ValueError(
+            "sequence rejected: n * max|value| * 400 exceeds the 64-bit word"
+        )
+    return tuple(vals)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+_AT_BOUND = WORD_MAX // (400 * 3)  # largest |v| Sequence takes at n = 3
+
+SEQUENCE_INPUTS = {
+    "ints": lambda: [3, -1, 0],
+    "one zero": lambda: [0],
+    "tuple": lambda: (4, 5),
+    "np.int64": lambda: [np.int64(5), -2],
+    "np.int32": lambda: [1, np.int32(-9)],
+    "np.uint64 past the word": lambda: [np.uint64(2**63)],
+    "np array": lambda: np.array([2, -3], dtype=np.int64),
+    "IntEnum": lambda: [_Level.HIGH, 1],
+    "True": lambda: [True],
+    "True after int": lambda: [1, True],
+    "np.bool_": lambda: [np.bool_(True)],
+    "float": lambda: [1.5],
+    "float after int": lambda: [1, 1.5],
+    "np.float64": lambda: [np.float64(2.0)],
+    "str": lambda: ["3"],
+    "None": lambda: [None],
+    "empty": lambda: [],
+    "generator": lambda: (v for v in [2, 4, -6]),
+    "empty generator": lambda: (v for v in []),
+    "at the bound": lambda: [_AT_BOUND, 0, -_AT_BOUND],
+    "negative at the bound": lambda: [0, -_AT_BOUND, 1],
+    "one past the bound": lambda: [_AT_BOUND + 1, 0, 0],
+    "negative one past the bound": lambda: [0, 0, -_AT_BOUND - 1],
+    "np.int64 past the bound": lambda: [np.int64(_AT_BOUND + 1), 0, 0],
+}
+
+
+def _outcome(build, values):
+    try:
+        vals = build(values)
+    except (TypeError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+    return "built", vals, [type(v) for v in vals]
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_INPUTS))
+def test_sequence_check_matches_the_reference_loop(name):
+    make = SEQUENCE_INPUTS[name]
+    want = _outcome(_reference_sequence_values, make())
+    assert _outcome(lambda v: Sequence(v).values, make()) == want
+
+
+def test_bound_cases_sit_on_the_headroom_rule():
+    assert 3 * _AT_BOUND * 400 <= WORD_MAX < 3 * (_AT_BOUND + 1) * 400
+    assert Sequence(SEQUENCE_INPUTS["at the bound"]()).max_abs == _AT_BOUND
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize(
+    "bad", [[1.5] * 100, [1.5] * 10, [True, 1], ["3"]], ids=["float100", "float10", "bool", "str"]
+)
+def test_maxconv_values_rejects_non_integers(kernel, bad):
+    # [1.5] * 100 at the full limit runs the numpy row loop, the rest the
+    # plain loop; the check comes before either.
+    with pytest.raises(TypeError, match="sequence values must be integers"):
+        maxconv_values(bad, bad, kernel=kernel)
+    with pytest.raises(TypeError, match="sequence values must be integers"):
+        maxconv_values([1] * len(bad), bad, kernel=kernel)
+
+
+def test_maxconv_values_converts_numpy_integers():
+    for kernel in KERNELS:
+        got = maxconv_values([np.int64(1), 2], (np.int32(3), 4), kernel=kernel)
+        assert got == [4, 5, 6]
+        assert all(type(v) is int for v in got)
 
 
 def test_overflow_is_a_hard_error():

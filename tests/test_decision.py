@@ -129,3 +129,59 @@ def test_via_upperbound_accepts_reduction_chain_oracle():
         a = rand_seq(rng, n, 12)
         b = rand_seq(rng, n, 12)
         assert max_conv_via_upperbound(a, b, chained) == max_conv(a, b, limit=n - 1)
+
+
+def _brute_violated(a, b, c):
+    conv = maxconv_values(a, b, len(a) - 1, "python")
+    return tuple(conv[k] > c[k] for k in range(len(a)))
+
+
+def test_default_oracle_is_check_upper_bound_seed4008():
+    # Lengths around perfect squares and interval multiples put the -K/K
+    # padding at every kind of block edge.
+    rng = random.Random(4008)
+    lengths = [1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 35, 36, 37, 50]
+    lengths += [rng.randint(1, 64) for _ in range(42)]
+    for n in lengths:
+        bound = rng.choice([3, 40, 10**6])
+        a = rand_seq(rng, n, bound)
+        b = rand_seq(rng, n, bound)
+        c = maxconv_values(a, b, n - 1)
+        for k in rng.sample(range(n), rng.randint(0, n)):
+            c[k] += rng.randint(-3, 1)
+        default = detect_violations(a, b, c)
+        checked = detect_violations(a, b, c, check_upper_bound)
+        assert default == checked
+        assert default.violated == _brute_violated(a, b, c)
+
+
+def test_via_upperbound_up_to_the_headroom_bound_seed4009():
+    # The windows detect_violations builds hold K = 2*n*w + 1 and must pass
+    # the Sequence check at length 2*s: 800 * s * K <= 2^63 - 1.  Inside
+    # that the answer is exact; past it the route raises ValueError.
+    rng = random.Random(4009)
+    word = 2**63 - 1
+    exact = refused = 0
+    for n in (1, 2, 5, 9, 12):
+        m = math.isqrt(n)
+        if m * m < n:
+            m += 1
+        s = -(-n // m)
+        top = word // (400 * n)  # Sequence's headroom bound for a and b
+        for shift in range(0, 60, 4):
+            w = max(1, top >> shift)
+            a = [rng.randint(-w, w) for _ in range(n)]
+            b = [rng.randint(-w, w) for _ in range(n)]
+            a[rng.randrange(n)] = rng.choice([-w, w])
+            try:
+                got = max_conv_via_upperbound(a, b)
+            except ValueError as exc:
+                assert "sequence rejected" in str(exc)
+                # probes reach at most max|a| + max|b|, so this input is
+                # past the documented bound
+                assert 800 * s * (2 * n * 2 * w + 1) > word
+                refused += 1
+                continue
+            assert got == max_conv(a, b, limit=n - 1)
+            exact += 1
+    assert exact and refused
