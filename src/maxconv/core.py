@@ -29,6 +29,14 @@ _HEADROOM = 400
 # overhead; both code paths run the identical enumeration.
 _VECTOR_CUTOFF = 2048
 
+# The numpy kernel sums _TILE_ROWS rows of a by _TILE_COLS output columns
+# per step: a tile of 16 x 4096 int32 cells takes 256 KiB (int64: 512).
+# Narrower is not cheaper: numpy copies a 2-D add through its buffer when
+# rows hold at most a third of its 8192-element buffer (2730 columns), at
+# several times the cost per cell.
+_TILE_ROWS = 16
+_TILE_COLS = 4096
+
 
 def _int_values(values: Iterable) -> Union[list, tuple]:
     """The integer check behind Sequence and maxconv_values.
@@ -69,6 +77,16 @@ class Sequence:
                 "sequence rejected: n * max|value| * 400 exceeds the 64-bit word"
             )
         self.values: tuple[int, ...] = vals
+
+    @classmethod
+    def _of_output(cls, values: list) -> "Sequence":
+        """Wrap a convolution's output without the input checks: it is
+        int-typed and int64-exact already, and an output of length 2n - 1
+        with values up to twice the input bound cannot meet the headroom
+        rule its inputs met."""
+        seq = cls.__new__(cls)
+        seq.values = tuple(values)
+        return seq
 
     def __len__(self) -> int:
         return len(self.values)
@@ -159,20 +177,85 @@ def maxconv_python_kernel(a: list, b: list, limit: int) -> list:
 
 
 def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
-    """The same quadratic enumeration, vectorised one row at a time."""
+    """The same quadratic enumeration, vectorised a tile of rows at a time.
+
+    Sums that leave the 64-bit word raise OverflowError first, as in the
+    python kernel.  Calls of at most ``_VECTOR_CUTOFF`` cells run the plain
+    loop.  Otherwise both operands are shifted by their minimum, so every
+    sum is non-negative and at most the shifted span
+    ``(max a - min a) + (max b - min b)``; the sums are taken in int32 when
+    that span fits, else in int64, and shifted back once at the end.  Each
+    step adds ``_TILE_ROWS`` values of the shorter operand to reversed
+    sliding windows of the longer one, ``_TILE_COLS`` output columns at a
+    time, and folds the tile's column maxima into the output.  Operands
+    whose span or values leave the 64-bit word (only raw lists with values
+    near 2^62 and beyond) take the plain loop.
+    """
     _guard_sums(a, b)
     if len(a) > len(b):
         a, b = b, a
     if len(a) * (limit + 1) <= _VECTOR_CUTOFF:
         return _maxconv_plain(a, b, limit)
-    av = np.asarray(a, dtype=np.int64)
-    bv = np.asarray(b, dtype=np.int64)
-    out = np.full(limit + 1, np.iinfo(np.int64).min, dtype=np.int64)
-    for i in range(min(len(a), limit + 1)):
-        top = min(limit, i + len(b) - 1)
-        seg = out[i : top + 1]
-        np.maximum(seg, bv[: top - i + 1] + av[i], out=seg)
+    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
+    span = (hi_a - lo_a) + (hi_b - lo_b)
+    if span > WORD_MAX or min(lo_a, lo_b) < -WORD_MAX - 1 or max(hi_a, hi_b) > WORD_MAX:
+        return _maxconv_plain(a, b, limit)
+    lane = np.int32 if span <= np.iinfo(np.int32).max else np.int64
+    out = _tiled_maxconv(a, (lo_a, hi_a), b, (lo_b, hi_b), limit, lane)
+    out = out.astype(np.int64, copy=False)
+    out += lo_a + lo_b
     return out.tolist()
+
+
+def _lane_array(values: list, bounds: tuple, lane, pad: int = 0) -> np.ndarray:
+    """``values - min(values)`` in the lane dtype, with ``pad`` sentinels
+    (the lane's minimum) on each side.  A sentinel plus any shifted value
+    stays negative, below every real sum, and cannot wrap."""
+    low, high = bounds
+    info = np.iinfo(lane)
+    arr = np.full(len(values) + 2 * pad, info.min, dtype=lane)
+    body = arr[pad : pad + len(values)]
+    if info.min <= low and high <= info.max:
+        body[:] = values
+        body -= low
+    else:  # only the shifted values fit the lane
+        wide = np.array(values, dtype=np.int64)
+        wide -= low
+        body[:] = wide
+    return arr
+
+
+def _tiled_maxconv(
+    a: list, a_bounds: tuple, b: list, b_bounds: tuple, limit: int, lane
+) -> np.ndarray:
+    """(max,+)-convolution of ``a - min(a)`` and ``b - min(b)`` up to
+    ``limit``, in the lane dtype; the caller has checked that every sum
+    fits it.  ``*_bounds`` are each operand's (min, max)."""
+    th = _TILE_ROWS
+    rows = min(len(a), limit + 1)
+    tw = min(_TILE_COLS, limit + 1)
+    av = _lane_array(a, a_bounds, lane)
+    bp = _lane_array(b, b_bounds, lane, th - 1)
+    # wins[r, j] = bp[j + th - 1 - r], so row r of the tile at i0 reads
+    # b[k - i0 - r] in output column k = i0 + j: the sum for a[i0 + r].
+    step = bp.itemsize
+    wins = np.ndarray(
+        (th, len(bp) - th + 1), lane, buffer=bp, offset=(th - 1) * step, strides=(-step, step)
+    )
+    out = np.full(limit + 1, np.iinfo(lane).min, dtype=lane)
+    tile = np.empty((min(th, rows), tw), dtype=lane)
+    best = np.empty(tw, dtype=lane)
+    for i0 in range(0, rows, th):
+        h = min(th, rows - i0)
+        col = av[i0 : i0 + h, None]
+        top = min(limit, i0 + h + len(b) - 2)
+        for k0 in range(i0, top + 1, tw):
+            w = min(tw, top + 1 - k0)
+            t, m, seg = tile[:h, :w], best[:w], out[k0 : k0 + w]
+            np.add(wins[:h, k0 - i0 : k0 - i0 + w], col, out=t)
+            np.maximum.reduce(t, axis=0, out=m)
+            np.maximum(seg, m, out=seg)
+    return out
 
 
 KERNELS: dict[str, Kernel] = {
@@ -224,7 +307,7 @@ def max_conv(
     kernel: str | Kernel | None = None,
 ) -> Sequence:
     """Max-plus convolution; output index k runs over 0..min(limit, len(a)+len(b)-2)."""
-    return Sequence(maxconv_values(as_values(a), as_values(b), limit, kernel))
+    return Sequence._of_output(maxconv_values(as_values(a), as_values(b), limit, kernel))
 
 
 def min_conv(
@@ -236,7 +319,7 @@ def min_conv(
     """Min-plus convolution, computed through the negation identity."""
     av = [-v for v in as_values(a)]
     bv = [-v for v in as_values(b)]
-    return Sequence([-v for v in maxconv_values(av, bv, limit, kernel)])
+    return Sequence._of_output([-v for v in maxconv_values(av, bv, limit, kernel)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maxconv.cli import METHODS, main
 from maxconv.serialize import (
+    FIELDS,
     PROBLEMS,
     InstanceFormatError,
     dump_instance,
@@ -129,6 +131,61 @@ def test_parse_rejects_bad_documents():
         parse_instance(
             json.dumps({"problem": "upperbound", "payload": {"a": [1], "b": [1], "c": [1, 2]}})
         )
+
+
+def _reference_array_check(key, val, minimum):
+    """Integer array fields checked one element at a time: the reference
+    for FIELDS' C-speed pass."""
+    def is_int(v):
+        return not isinstance(v, bool) and isinstance(v, int) and (minimum is None or v >= minimum)
+
+    if not isinstance(val, list) or not val:
+        raise InstanceFormatError(f"payload field {key!r} must be a non-empty array")
+    if not all(is_int(v) for v in val):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InstanceFormatError(f"payload field {key!r} must hold integers{bound}")
+    return val
+
+
+class _Small(int):
+    pass
+
+
+ARRAY_FIELD_INPUTS = {
+    "ints": [3, -1, 0],
+    "one": [7],
+    "minus one": [-1, 0, 4],
+    "minus two": [0, -2],
+    "big": [2**70, -(2**70)],
+    "empty": [],
+    "not a list": (1, 2),
+    "dict": {"a": 1},
+    "True": [True],
+    "True after int": [1, True],
+    "float": [1.5],
+    "whole float": [2.0, 1],
+    "str": ["3"],
+    "None": [None],
+    "nested": [[1]],
+    "int subclass": [_Small(4), 1],
+    "np.int64": [np.int64(3)],
+    "np.bool_": [np.bool_(False)],
+}
+
+
+def _field_outcome(check, key, val):
+    try:
+        return "accepted", check(key, val)
+    except InstanceFormatError as exc:
+        return "rejected", str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_FIELD_INPUTS))
+@pytest.mark.parametrize("key, minimum", [("a", None), ("parent", -1)])
+def test_array_field_check_matches_the_reference_loop(key, minimum, name):
+    val = ARRAY_FIELD_INPUTS[name]
+    want = _field_outcome(lambda k, v: _reference_array_check(k, v, minimum), key, val)
+    assert _field_outcome(FIELDS[key], key, val) == want
 
 
 def test_solve_methods_agree(tmp_path):

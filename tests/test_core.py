@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from maxconv import core
 from maxconv import (
     KERNELS,
     Sequence,
@@ -19,6 +20,8 @@ from maxconv import (
 )
 
 from helpers import brute_maxconv, brute_superadd, rand_seq, rand_superadd_candidate
+
+WORD_MAX = 2**63 - 1
 
 
 def test_maxconv_identity_case():
@@ -63,6 +66,115 @@ def test_kernels_agree_with_bruteforce_seed1001():
         want = brute_maxconv(a, b, limit)
         for name in KERNELS:
             assert maxconv_values(a, b, limit, name) == want, name
+
+
+def _spread(rng, n, lo, hi):
+    """n values in [lo, hi] that include both ends."""
+    vals = [lo, hi] + [rng.randint(lo, hi) for _ in range(n - 2)]
+    rng.shuffle(vals)
+    return vals
+
+
+_HALF = 2**62
+
+
+def _boundary_cases():
+    """name -> (a, b, limit, the lane the numpy kernel must take: a numpy
+    dtype, or None for the plain loop)."""
+    rng = random.Random(1008)
+    span32 = 2**31 - 1
+    return {
+        # shifted span (max a - min a) + (max b - min b) at the lane switch
+        "span 2^31-1": (
+            _spread(rng, 70, -5, span32 - 1005), _spread(rng, 40, 7, 1007), None, np.int32
+        ),
+        "span 2^31": (
+            _spread(rng, 70, -5, span32 - 1004), _spread(rng, 40, 7, 1007), None, np.int64
+        ),
+        # span exactly 2^63 - 1, with min a + min b = -2^63
+        "span 2^63-1": (
+            _spread(rng, 33, -_HALF, -1), _spread(rng, 50, -_HALF, 0), None, np.int64
+        ),
+        "span 2^63": (_spread(rng, 33, -_HALF, _HALF), [7] * 50, None, None),
+        "near +2^62": (
+            _spread(rng, 47, _HALF - 1000, _HALF - 1),
+            _spread(rng, 47, _HALF - 900, _HALF - 1),
+            None,
+            np.int32,
+        ),
+        "near -2^62": (
+            _spread(rng, 47, -_HALF, -_HALF + 1000),
+            _spread(rng, 47, -_HALF, -_HALF + 900),
+            None,
+            np.int32,
+        ),
+        # sums inside the word, operands not: only the plain loop holds them
+        "a value past the word": (_spread(rng, 40, 1, 2**63), [-1] * 60, None, None),
+        "a value below the word": (
+            _spread(rng, 40, -(2**63) - 40, -(2**63) - 1), [40] * 60, None, None
+        ),
+        "b wider than a column chunk": (
+            _spread(rng, 18, -100, 100), _spread(rng, 4500, -100, 100), None, np.int32
+        ),
+        "at the cutoff": (_spread(rng, 32, -9, 9), _spread(rng, 50, -9, 9), 63, None),
+        "past the cutoff": (_spread(rng, 32, -9, 9), _spread(rng, 50, -9, 9), 64, np.int32),
+        "limit past the shorter operand": (
+            _spread(rng, 100, -50, 50), _spread(rng, 35, -50, 50), 60, np.int32
+        ),
+    }
+
+
+KERNEL_BOUNDARY_CASES = _boundary_cases()
+
+
+@pytest.fixture(params=["16x4096", "1x3", "5x7"])
+def tiles(request, monkeypatch):
+    """Run the numpy kernel with the given tile height and column chunk."""
+    rows, cols = map(int, request.param.split("x"))
+    monkeypatch.setattr(core, "_TILE_ROWS", rows)
+    monkeypatch.setattr(core, "_TILE_COLS", cols)
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """The lane of every tiled call; the plain loop records nothing."""
+    seen = []
+    tiled = core._tiled_maxconv
+
+    def record(*args):
+        seen.append(args[-1])
+        return tiled(*args)
+
+    monkeypatch.setattr(core, "_tiled_maxconv", record)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOUNDARY_CASES))
+def test_kernels_at_the_lane_boundaries(name, tiles, lanes):
+    a, b, limit, lane = KERNEL_BOUNDARY_CASES[name]
+    want = brute_maxconv(a, b, limit)
+    for kernel in KERNELS:
+        assert maxconv_values(a, b, limit, kernel) == want, kernel
+    assert lanes == ([] if lane is None else [lane])
+
+
+def test_kernels_at_every_limit_seed1009(tiles):
+    rng = random.Random(1009)
+    for la, lb in ((37, 100), (100, 37), (16, 160), (17, 33)):
+        a = rand_seq(rng, la, 1000)
+        b = rand_seq(rng, lb, 1000)
+        for limit in range(la + lb - 1):
+            want = brute_maxconv(a, b, limit)
+            for kernel in KERNELS:
+                assert maxconv_values(a, b, limit, kernel) == want, (la, lb, limit, kernel)
+
+
+def test_conv_output_is_not_held_to_the_input_headroom_rule():
+    w = WORD_MAX // 800  # the largest |v| Sequence takes at n = 2
+    Sequence([w, w])
+    for kernel in KERNELS:
+        assert max_conv([w, w], [w, w], kernel=kernel) == [2 * w] * 3
+        assert min_conv([-w, -w], [-w, -w], kernel=kernel) == [-2 * w] * 3
 
 
 def test_commutativity_and_associativity_seed1003():
@@ -196,9 +308,6 @@ def test_sequence_validation():
         Sequence([True])
     with pytest.raises(ValueError):
         Sequence([2**60])  # no headroom for the documented blowups
-
-
-WORD_MAX = 2**63 - 1
 
 
 def _reference_sequence_values(values):
