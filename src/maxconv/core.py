@@ -12,6 +12,7 @@ output sequence and the self-dominance (superadditivity) test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 from typing import Callable, Iterable, Union
 
 import numpy as np
@@ -36,6 +37,11 @@ _VECTOR_CUTOFF = 2048
 # several times the cost per cell.
 _TILE_ROWS = 16
 _TILE_COLS = 4096
+
+# Each lane's (min, max), looked up once: np.iinfo costs about 1.5 us a call.
+_LANE_RANGE = {
+    lane: (int(np.iinfo(lane).min), int(np.iinfo(lane).max)) for lane in (np.int32, np.int64)
+}
 
 
 def _int_values(values: Iterable) -> Union[list, tuple]:
@@ -200,7 +206,7 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
     span = (hi_a - lo_a) + (hi_b - lo_b)
     if span > WORD_MAX or min(lo_a, lo_b) < -WORD_MAX - 1 or max(hi_a, hi_b) > WORD_MAX:
         return _maxconv_plain(a, b, limit)
-    lane = np.int32 if span <= np.iinfo(np.int32).max else np.int64
+    lane = np.int32 if span <= _LANE_RANGE[np.int32][1] else np.int64
     out = _tiled_maxconv(a, (lo_a, hi_a), b, (lo_b, hi_b), limit, lane)
     out = out.astype(np.int64, copy=False)
     out += lo_a + lo_b
@@ -212,10 +218,10 @@ def _lane_array(values: list, bounds: tuple, lane, pad: int = 0) -> np.ndarray:
     (the lane's minimum) on each side.  A sentinel plus any shifted value
     stays negative, below every real sum, and cannot wrap."""
     low, high = bounds
-    info = np.iinfo(lane)
-    arr = np.full(len(values) + 2 * pad, info.min, dtype=lane)
+    lane_min, lane_max = _LANE_RANGE[lane]
+    arr = np.full(len(values) + 2 * pad, lane_min, dtype=lane)
     body = arr[pad : pad + len(values)]
-    if info.min <= low and high <= info.max:
+    if lane_min <= low and high <= lane_max:
         body[:] = values
         body -= low
     else:  # only the shifted values fit the lane
@@ -242,7 +248,7 @@ def _tiled_maxconv(
     wins = np.ndarray(
         (th, len(bp) - th + 1), lane, buffer=bp, offset=(th - 1) * step, strides=(-step, step)
     )
-    out = np.full(limit + 1, np.iinfo(lane).min, dtype=lane)
+    out = np.full(limit + 1, _LANE_RANGE[lane][0], dtype=lane)
     tile = np.empty((min(th, rows), tw), dtype=lane)
     best = np.empty(tw, dtype=lane)
     for i0 in range(0, rows, th):
@@ -352,7 +358,8 @@ def check_upper_bound(
 ) -> Decision:
     """Does c dominate the convolution, i.e. a[i]+b[j] <= c[i+j] for all i+j < n?
 
-    On failure the witness is the lexicographically first violating (i, j).
+    On failure the witness is the violating (i, j) with the smallest i + j,
+    and among those the smallest i.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
     _require_equal_lengths(av, bv, cv)
@@ -364,12 +371,20 @@ def _dominates(
 ) -> Decision:
     """check_upper_bound on non-empty, equal-length lists that have already
     passed the Sequence checks; only the kernel's overflow guard runs."""
-    n = len(av)
-    conv = resolve_kernel(kernel)(av, bv, n - 1)
-    for k in range(n):
-        if conv[k] > cv[k]:
-            for i in range(max(0, k - n + 1), min(k, n - 1) + 1):
-                if av[i] + bv[k - i] > cv[k]:
+    return _dominance_verdict(av, bv, cv, resolve_kernel(kernel)(av, bv, len(av) - 1))
+
+
+def _dominance_verdict(av: list, bv: list, cv: list, conv: list) -> Decision:
+    """_dominates' verdict on av, bv, cv, read off ``conv``: the convolution
+    of av and bv, or of shorter prefixes of them when every sum with an
+    entry left out is below every entry of cv (the outputs past the end
+    of ``conv`` are then never violated)."""
+    if not any(map(gt, conv, cv)):
+        return Decision(True)
+    for k, (best, cap) in enumerate(zip(conv, cv)):
+        if best > cap:
+            for i in range(k + 1):
+                if av[i] + bv[k - i] > cap:
                     return Decision(False, (i, k - i))
     return Decision(True)
 

@@ -13,7 +13,14 @@ Inputs are checked where they enter: each public function runs the
 Sequence checks on its own arguments, once per call.  The default oracle
 is ``core._dominates``, the same dominance test as ``check_upper_bound``
 minus that check: it only ever sees slices of lists detect_single has
-already checked.  A caller-supplied oracle receives plain lists.
+already checked.  A caller-supplied oracle receives plain lists and is
+called once per query.
+
+With the default oracle, detect_violations answers each query with one
+kernel call on the window entries before the -K pads: a sum with a pad is
+at most w - K < -w, below every entry of c, so leaving the pads out gives
+the same Decision, witness included.  ``oracle_calls`` counts queries, and with the default
+oracle it equals the kernel calls.
 """
 
 from __future__ import annotations
@@ -22,7 +29,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Decision, Sequence, SequenceLike, _dominates, as_values
+from .core import (
+    Decision,
+    Sequence,
+    SequenceLike,
+    _dominance_verdict,
+    _dominates,
+    as_values,
+    resolve_kernel,
+)
 
 UpperBoundOracle = Callable[[list, list, list], Decision]
 
@@ -31,8 +46,8 @@ UpperBoundOracle = Callable[[list, list, list], Decision]
 class ViolationReport:
     """violated[k] is True iff c[k] < max_{i+j=k} (a[i] + b[j]) at call time.
 
-    ``oracle_calls`` counts decision-oracle invocations, for the accounting
-    checks in the tests.
+    ``oracle_calls`` counts decision-oracle queries, for the accounting
+    checks in the tests; with the default oracle each is one kernel call.
     """
 
     violated: tuple[bool, ...]
@@ -85,11 +100,13 @@ def detect_violations(
     each hit is masked in a working copy of c with K, a constant exceeding
     all feasible sums, so it can never be reported again.  Out-of-range c
     entries read as K; a/b padding uses -K and therefore never violates.
-    The caller's c is left untouched.
+    The caller's c is left untouched.  With the default oracle each query
+    convolves only the entries before the pads (see the module docstring).
 
     K = 2*n*w + 1, with w = max(1, max |value|) over a, b and c.  Every
     window holds K or -K and is checked as a Sequence of length 2*s (s the
-    interval length), so inputs with 800 * s * K > 2^63 - 1 raise
+    interval length; the a and b windows once per call, before any oracle
+    query), so inputs with 800 * s * K > 2^63 - 1 raise
     ValueError ("sequence rejected ..."), never a wrong report.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
@@ -111,27 +128,38 @@ def detect_violations(
     def oracle(xa: list, xb: list, xc: list) -> Decision:
         nonlocal calls
         calls += 1
+        if upper_bound_oracle is _dominates:
+            return _dominates_before_pad(xa, xb, xc, pad)
         return upper_bound_oracle(xa, xb, xc)
 
+    def window(vals: list, x: int) -> Sequence:
+        part = vals[x * s : (x + 1) * s]
+        return Sequence(part + [pad] * (2 * s - len(part)))
+
+    b_locs = [window(bv, y) for y in range(blocks)]
     for x in range(blocks):
-        ax = av[x * s : (x + 1) * s]
-        a_loc = ax + [pad] * (2 * s - len(ax))
-        for y in range(blocks):
-            by = bv[y * s : (y + 1) * s]
-            b_loc = by + [pad] * (2 * s - len(by))
+        a_loc = window(av, x)
+        for y, b_loc in enumerate(b_locs):
             base = (x + y) * s
-            while True:
-                c_loc = [
-                    cw[base + t] if base + t < n else mask for t in range(2 * s)
-                ]
-                k = detect_single(a_loc, b_loc, c_loc, oracle)
-                if k is None:
-                    break
+            c_loc = cw[base : base + 2 * s]
+            c_loc += [mask] * (2 * s - len(c_loc))
+            while (k := detect_single(a_loc, b_loc, c_loc, oracle)) is not None:
                 g = base + k
                 assert g < n and not violated[g]
                 violated[g] = True
-                cw[g] = mask
+                cw[g] = c_loc[k] = mask
     return ViolationReport(tuple(violated), calls)
+
+
+def _dominates_before_pad(xa: list, xb: list, xc: list, pad: int) -> Decision:
+    """``_dominates`` on a window prefix whose a and b may end in ``pad``
+    entries.  A sum with a pad is below every entry of c, so the one kernel
+    call convolves only the entries before the first pad; outputs past its
+    end would only sum pads."""
+    ra = xa.index(pad) if xa[-1] == pad else len(xa)
+    rb = xb.index(pad) if xb[-1] == pad else len(xb)
+    conv = resolve_kernel(None)(xa[:ra], xb[:rb], min(len(xc), ra + rb - 1) - 1)
+    return _dominance_verdict(xa, xb, xc, conv)
 
 
 def max_conv_via_upperbound(

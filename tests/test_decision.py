@@ -3,6 +3,9 @@
 import math
 import random
 
+from maxconv import core
+from maxconv.core import _dominates
+from maxconv.decision import _dominates_before_pad
 from maxconv import (
     check_upper_bound,
     detect_single,
@@ -185,3 +188,96 @@ def test_via_upperbound_up_to_the_headroom_bound_seed4009():
             assert got == max_conv(a, b, limit=n - 1)
             exact += 1
     assert exact and refused
+
+
+def _blocks(n):
+    m = math.isqrt(n)
+    if m * m < n:
+        m += 1
+    s = -(-n // m)
+    return s, -(-n // s)
+
+
+def _first_violating_pair(a, b, c):
+    for k in range(len(c)):
+        for i in range(k + 1):
+            if a[i] + b[k - i] > c[k]:
+                return (i, k - i)
+    return None
+
+
+def test_window_oracle_matches_dominates_seed6001():
+    # Windows built as detect_violations builds them, padded with -K (a, b)
+    # and K (c past n, and masked hits); every prefix query, in a shuffled
+    # order, gets the same Decision from the pad-trimmed oracle as from
+    # _dominates on the whole prefix, and the witness a brute-force scan
+    # finds.  c reaches -w, the least value it can hold, so a sum with a
+    # pad is tested against the tightest cap.
+    rng = random.Random(6001)
+    lengths = [1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 35, 36, 37, 50]
+    lengths += [rng.randint(1, 64) for _ in range(12)]
+    for n in lengths:
+        w = rng.choice([3, 40, 10**6])
+        a, b = rand_seq(rng, n, w), rand_seq(rng, n, w)
+        c = maxconv_values(a, b, n - 1)
+        for k in rng.sample(range(n), rng.randint(0, n)):
+            c[k] += rng.randint(-3, 1)
+        c = [max(-w, min(w, v)) for v in c]
+        c[rng.randrange(n)] = -w
+        mask = 2 * n * w + 1
+        for k in rng.sample(range(n), rng.randint(0, n // 3)):
+            c[k] = mask
+        s, blocks = _blocks(n)
+        for x in range(blocks):
+            for y in range(blocks):
+                a_loc = a[x * s : (x + 1) * s]
+                a_loc += [-mask] * (2 * s - len(a_loc))
+                b_loc = b[y * s : (y + 1) * s]
+                b_loc += [-mask] * (2 * s - len(b_loc))
+                base = (x + y) * s
+                c_loc = c[base : base + 2 * s]
+                c_loc += [mask] * (2 * s - len(c_loc))
+                prefixes = list(range(1, 2 * s + 1))
+                rng.shuffle(prefixes)
+                for p in prefixes:
+                    args = a_loc[:p], b_loc[:p], c_loc[:p]
+                    got = _dominates_before_pad(*args, -mask)
+                    assert got == _dominates(*args)
+                    assert got.witness == _first_violating_pair(*args)
+
+
+def test_default_oracle_reports_match_per_query_path_seed6002(monkeypatch):
+    # Both paths make one kernel call per oracle query; the default one
+    # never hands the kernel a pad.
+    kernel_calls, trimmed = 0, True
+    naive = core.KERNELS["naive"]
+
+    def counted(a, b, limit):
+        nonlocal kernel_calls
+        kernel_calls += 1
+        if trimmed:
+            assert max(map(abs, a + b)) <= 30
+        return naive(a, b, limit)
+
+    monkeypatch.setitem(core.KERNELS, "naive", counted)
+
+    def per_query(a, b, c):
+        return _dominates(a, b, c)
+
+    rng = random.Random(6002)
+    for n in [1, 2, 3, 4, 8, 9, 10, 16, 17, 25, 26, 36, 37] + [rng.randint(1, 48) for _ in range(15)]:
+        a, b = rand_seq(rng, n, 30), rand_seq(rng, n, 30)
+        c = maxconv_values(a, b, n - 1)
+        for k in rng.sample(range(n), rng.randint(0, n)):
+            c[k] += rng.randint(-4, 1)
+        kernel_calls, trimmed = 0, True
+        default = detect_violations(a, b, c)
+        assert kernel_calls == default.oracle_calls
+        kernel_calls, trimmed = 0, False
+        queried = detect_violations(a, b, c, per_query)
+        assert kernel_calls == queried.oracle_calls
+        assert default == queried
+        trimmed = True
+        got = max_conv_via_upperbound(a, b)
+        trimmed = False
+        assert got == max_conv_via_upperbound(a, b, per_query)
