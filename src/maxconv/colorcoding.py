@@ -96,8 +96,9 @@ def _join_part(cur: np.ndarray, part: list[tuple[int, int]]) -> np.ndarray:
     limit = len(cur) - 1
     steps = _part_steps(part, limit)
     top = steps[-1][1] if steps else 0
-    # The kernels' overflow condition (cur[-1] is its maximum), checked
-    # before any int64 arithmetic.
+    # Profiles are int64 arrays, so a join whose largest sum (cur[-1] is
+    # cur's maximum) passes 2^63 - 1 would wrap: it raises before any int64
+    # arithmetic.  This is the package's only OverflowError.
     if int(cur[-1]) + top > WORD_MAX:
         raise OverflowError("convolution sums leave the 64-bit word")
     out = cur.copy()

@@ -19,13 +19,6 @@ import numpy as np
 
 WORD_MAX = 2**63 - 1
 
-# Sequence accepts n values only while n * max(1, max|v|) * 400 <= 2^63 - 1,
-# so sums of a few hundred times an input's total weight stay in the word.
-# That is a rule on inputs, not a bound every construction in the package
-# keeps: some reductions grow values faster and are refused by a Sequence
-# they build themselves (ROADMAP item 5).
-_HEADROOM = 400
-
 # Below this many candidate cells the plain Python loop beats numpy call
 # overhead; both code paths run the identical enumeration.
 _VECTOR_CUTOFF = 2048
@@ -64,11 +57,11 @@ def _int_values(values: Iterable) -> Union[list, tuple]:
 
 
 class Sequence:
-    """Immutable, non-empty sequence of bounded signed integers.
+    """Immutable, non-empty sequence of signed integers of any magnitude.
 
-    Construction rejects inputs whose documented worst-case blowup
-    (n * max|a[i]| * 400) would leave the 64-bit word, so downstream
-    arithmetic stays exact without per-operation checks.
+    Construction takes ints and numpy integers (bool and every other type
+    raise TypeError) and keeps them as Python ints, so downstream
+    arithmetic is exact at every size.
     """
 
     __slots__ = ("values",)
@@ -77,22 +70,7 @@ class Sequence:
         vals = tuple(_int_values(values))
         if not vals:
             raise ValueError("sequences must be non-empty")
-        bound = max(1, max(vals), -min(vals))
-        if len(vals) * bound * _HEADROOM > WORD_MAX:
-            raise ValueError(
-                "sequence rejected: n * max|value| * 400 exceeds the 64-bit word"
-            )
         self.values: tuple[int, ...] = vals
-
-    @classmethod
-    def _of_output(cls, values: list) -> "Sequence":
-        """Wrap a convolution's output without the input checks: it is
-        int-typed and int64-exact already, and an output of length 2n - 1
-        with values up to twice the input bound cannot meet the headroom
-        rule its inputs met."""
-        seq = cls.__new__(cls)
-        seq.values = tuple(values)
-        return seq
 
     def __len__(self) -> int:
         return len(self.values)
@@ -115,13 +93,6 @@ class Sequence:
 
     def __repr__(self) -> str:
         return f"Sequence({list(self.values)!r})"
-
-    @property
-    def max_abs(self) -> int:
-        return max(abs(v) for v in self.values)
-
-    def negate(self) -> "Sequence":
-        return Sequence([-v for v in self.values])
 
     def tolist(self) -> list[int]:
         return list(self.values)
@@ -153,12 +124,6 @@ class MaxConvInstance:
 Kernel = Callable[[list, list, int], list]
 
 
-def _guard_sums(a: list, b: list) -> None:
-    # Hard error on overflow, never a silent wrap.
-    if max(a) + max(b) > WORD_MAX or min(a) + min(b) < -(WORD_MAX + 1):
-        raise OverflowError("convolution sums leave the 64-bit word")
-
-
 def _maxconv_plain(a: list, b: list, limit: int) -> list:
     la, lb = len(a), len(b)
     out = []
@@ -177,34 +142,36 @@ def _maxconv_plain(a: list, b: list, limit: int) -> list:
 
 
 def maxconv_python_kernel(a: list, b: list, limit: int) -> list:
-    """Plain quadratic enumeration in Python integers."""
-    _guard_sums(a, b)
+    """Plain quadratic enumeration in Python integers, exact at any size."""
     return _maxconv_plain(a, b, limit)
 
 
 def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
     """The same quadratic enumeration, vectorised a tile of rows at a time.
 
-    Sums that leave the 64-bit word raise OverflowError first, as in the
-    python kernel.  Calls of at most ``_VECTOR_CUTOFF`` cells run the plain
-    loop.  Otherwise both operands are shifted by their minimum, so every
-    sum is non-negative and at most the shifted span
+    Calls of at most ``_VECTOR_CUTOFF`` cells run the plain loop.
+    Otherwise both operands are shifted by their minimum, so every sum is
+    non-negative and at most the shifted span
     ``(max a - min a) + (max b - min b)``; the sums are taken in int32 when
     that span fits, else in int64, and shifted back once at the end.  Each
     step adds ``_TILE_ROWS`` values of the shorter operand to reversed
     sliding windows of the longer one, ``_TILE_COLS`` output columns at a
     time, and folds the tile's column maxima into the output.  Operands
-    whose span or values leave the 64-bit word (only raw lists with values
-    near 2^62 and beyond) take the plain loop.
+    whose span, values or extreme sums (``min a + min b``,
+    ``max a + max b``) leave the 64-bit word take the plain loop, which is
+    exact on Python ints, so no sum ever wraps.
     """
-    _guard_sums(a, b)
     if len(a) > len(b):
         a, b = b, a
     if len(a) * (limit + 1) <= _VECTOR_CUTOFF:
         return _maxconv_plain(a, b, limit)
     lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
     span = (hi_a - lo_a) + (hi_b - lo_b)
-    if span > WORD_MAX or min(lo_a, lo_b) < -WORD_MAX - 1 or max(hi_a, hi_b) > WORD_MAX:
+    if (
+        span > WORD_MAX
+        or min(lo_a, lo_b, lo_a + lo_b) < -WORD_MAX - 1
+        or max(hi_a, hi_b, hi_a + hi_b) > WORD_MAX
+    ):
         return _maxconv_plain(a, b, limit)
     lane = np.int32 if span <= _LANE_RANGE[np.int32][1] else np.int64
     out = _tiled_maxconv(a, (lo_a, hi_a), b, (lo_b, hi_b), limit, lane)
@@ -289,8 +256,8 @@ def maxconv_values(
     """(max,+)-convolution of raw integer lists, truncated at index ``limit``.
 
     Operands get Sequence's integer check (TypeError on floats, bools and
-    other non-integers) but not its headroom rule; sums that leave the
-    64-bit word raise OverflowError in the kernel.
+    other non-integers) and may have any magnitude: both kernels are exact
+    on every integer input.
     """
     a, b = _int_values(a), _int_values(b)
     if not a or not b:
@@ -313,7 +280,7 @@ def max_conv(
     kernel: str | Kernel | None = None,
 ) -> Sequence:
     """Max-plus convolution; output index k runs over 0..min(limit, len(a)+len(b)-2)."""
-    return Sequence._of_output(maxconv_values(as_values(a), as_values(b), limit, kernel))
+    return Sequence(maxconv_values(as_values(a), as_values(b), limit, kernel))
 
 
 def min_conv(
@@ -325,7 +292,7 @@ def min_conv(
     """Min-plus convolution, computed through the negation identity."""
     av = [-v for v in as_values(a)]
     bv = [-v for v in as_values(b)]
-    return Sequence._of_output([-v for v in maxconv_values(av, bv, limit, kernel)])
+    return Sequence([-v for v in maxconv_values(av, bv, limit, kernel)])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +337,7 @@ def _dominates(
     av: list, bv: list, cv: list, kernel: str | Kernel | None = None
 ) -> Decision:
     """check_upper_bound on non-empty, equal-length lists that have already
-    passed the Sequence checks; only the kernel's overflow guard runs."""
+    passed the Sequence checks; it runs no check of its own."""
     return _dominance_verdict(av, bv, cv, resolve_kernel(kernel)(av, bv, len(av) - 1))
 
 

@@ -104,10 +104,9 @@ def detect_violations(
     convolves only the entries before the pads (see the module docstring).
 
     K = 2*n*w + 1, with w = max(1, max |value|) over a, b and c.  Every
-    window holds K or -K and is checked as a Sequence of length 2*s (s the
-    interval length; the a and b windows once per call, before any oracle
-    query), so inputs with 800 * s * K > 2^63 - 1 raise
-    ValueError ("sequence rejected ..."), never a wrong report.
+    window is a Sequence of length 2*s (s the interval length); the a and
+    b windows are built once per call, so detect_single does not check
+    them again on every search.  Values of any magnitude are exact.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
     n = len(av)
@@ -172,8 +171,7 @@ def max_conv_via_upperbound(
     Keeps per-index bounds lo..hi on the answer; each round probes the
     midpoints, marks the violated coordinates, and halves every interval,
     finishing within ceil(log2(value range)) + 1 rounds.  The probes lie
-    between min(a) + min(b) and max(a) + max(b), and detect_violations'
-    ValueError bound applies to them.
+    between min(a) + min(b) and max(a) + max(b).
     """
     av, bv = as_values(a), as_values(b)
     n = len(av)

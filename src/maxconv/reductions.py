@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
-    WORD_MAX,
     Kernel,
     MaxConvInstance,
     Sequence,
@@ -386,8 +385,6 @@ def reduce_lowerbound_to_necklace(
     big = b3[n]
     big1 = b3[n - 1]
     big2 = b3[n] - b3[1]
-    if 2 * big > WORD_MAX // 4:
-        raise OverflowError("constructed alignment positions leave the word")
     x = a3 + [big + v for v in c3]
     y = (
         [big1 - b3[n - 1 - r] for r in range(n)]

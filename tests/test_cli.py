@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 import re
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -10,13 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maxconv import KERNELS, cli
 from maxconv.cli import METHODS, main
 from maxconv.serialize import (
     FIELDS,
     PROBLEMS,
     InstanceFormatError,
     dump_instance,
+    gen_payload,
     parse_instance,
+    payload_objects,
+    validate_payload,
 )
 
 TAGS = (
@@ -327,3 +332,24 @@ def test_docs_list_the_registered_problems_and_methods():
     }
     assert documented == {p: list(m) for p, m in METHODS.items()}
     assert list(documented) == list(METHODS)
+
+
+def test_every_route_is_exact_past_the_word_seed7001():
+    # Values at 2^62 and past 2^63 make the reductions grow far beyond the
+    # 64-bit word; every deterministic route still gives the reference answer.
+    rng = random.Random(7001)
+    for problem, methods in METHODS.items():
+        reference = methods[cli.REFERENCE[problem]]
+        for values in (2**62, 2**63 + 7, 2**70):
+            for _ in range(12):
+                opts = {"n": rng.randint(1, 7), "values": values}
+                payload = validate_payload(problem, gen_payload(problem, rng, opts))
+                objs = payload_objects(problem, payload)
+                for kernel in KERNELS:
+                    run_opts = {"delta": 0.25, "seed": 0, "kernel": kernel}
+                    ref = reference(objs, run_opts)
+                    for name, solve in methods.items():
+                        if (problem, name) in cli.RANDOMIZED:
+                            continue
+                        got = cli._compare(problem, name, solve(objs, run_opts), ref)
+                        assert got == (True, False), (problem, name, values, kernel, payload)

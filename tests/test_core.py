@@ -108,6 +108,26 @@ def _boundary_cases():
             None,
             np.int32,
         ),
+        # narrow spans whose extreme sums sit on either side of the word:
+        # shifted back in int64, a sum past it would wrap
+        "sums up to 2^63-1": (
+            _spread(rng, 47, _HALF - 1000, _HALF - 1),
+            _spread(rng, 47, _HALF - 900, _HALF),
+            None,
+            np.int32,
+        ),
+        "sums up to 2^63": (
+            _spread(rng, 47, _HALF - 1000, _HALF),
+            _spread(rng, 47, _HALF - 900, _HALF),
+            None,
+            None,
+        ),
+        "sums down to -2^63-1": (
+            _spread(rng, 47, -_HALF - 1, -_HALF + 1000),
+            _spread(rng, 47, -_HALF, -_HALF + 900),
+            None,
+            None,
+        ),
         # sums inside the word, operands not: only the plain loop holds them
         "a value past the word": (_spread(rng, 40, 1, 2**63), [-1] * 60, None, None),
         "a value below the word": (
@@ -306,13 +326,12 @@ def test_sequence_validation():
         Sequence([1.5])
     with pytest.raises(TypeError):
         Sequence([True])
-    with pytest.raises(ValueError):
-        Sequence([2**60])  # no headroom for the documented blowups
+    assert Sequence([2**60, -(2**70)]).values == (2**60, -(2**70))  # any magnitude
 
 
 def _reference_sequence_values(values):
     """Sequence's checks as a per-element loop: the reference for the
-    shared integer check."""
+    shared integer check.  Magnitudes are not bounded."""
     vals = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
@@ -320,11 +339,6 @@ def _reference_sequence_values(values):
         vals.append(int(v))
     if not vals:
         raise ValueError("sequences must be non-empty")
-    bound = max(1, max(abs(v) for v in vals))
-    if len(vals) * bound * 400 > WORD_MAX:
-        raise ValueError(
-            "sequence rejected: n * max|value| * 400 exceeds the 64-bit word"
-        )
     return tuple(vals)
 
 
@@ -332,7 +346,9 @@ class _Level(enum.IntEnum):
     HIGH = 7
 
 
-_AT_BOUND = WORD_MAX // (400 * 3)  # largest |v| Sequence takes at n = 3
+# The largest |v| Sequence took at n = 3 under the retired headroom rule
+# (n * max|v| * 400 <= 2^63 - 1).
+_AT_BOUND = WORD_MAX // (400 * 3)
 
 SEQUENCE_INPUTS = {
     "ints": lambda: [3, -1, 0],
@@ -378,8 +394,19 @@ def test_sequence_check_matches_the_reference_loop(name):
 
 
 def test_bound_cases_sit_on_the_headroom_rule():
+    # The cases at the old bound and one past it build and convolve exactly.
     assert 3 * _AT_BOUND * 400 <= WORD_MAX < 3 * (_AT_BOUND + 1) * 400
-    assert Sequence(SEQUENCE_INPUTS["at the bound"]()).max_abs == _AT_BOUND
+    for name in (
+        "at the bound",
+        "negative at the bound",
+        "one past the bound",
+        "negative one past the bound",
+        "np.int64 past the bound",
+    ):
+        a = list(Sequence(SEQUENCE_INPUTS[name]()))
+        for b in (a, [-v for v in reversed(a)]):
+            for kernel in KERNELS:
+                assert max_conv(a, b, kernel=kernel) == brute_maxconv(a, b), (name, kernel)
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -403,9 +430,10 @@ def test_maxconv_values_converts_numpy_integers():
 
 
 def test_overflow_is_a_hard_error():
+    # Sums past the word are exact Python ints, never wrapped or refused.
     big = (2**63 - 1) // 2 + 10
-    with pytest.raises(OverflowError):
-        maxconv_values([big], [big])
+    for kernel in KERNELS:
+        assert maxconv_values([big], [big], kernel=kernel) == [2 * big]
 
 
 def test_unknown_kernel_rejected():

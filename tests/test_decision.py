@@ -159,35 +159,20 @@ def test_default_oracle_is_check_upper_bound_seed4008():
 
 
 def test_via_upperbound_up_to_the_headroom_bound_seed4009():
-    # The windows detect_violations builds hold K = 2*n*w + 1 and must pass
-    # the Sequence check at length 2*s: 800 * s * K <= 2^63 - 1.  Inside
-    # that the answer is exact; past it the route raises ValueError.
+    # The windows detect_violations builds hold K = 2*n*w + 1.  From small
+    # values, through the retired headroom bound (n * w * 400 <= 2^63 - 1),
+    # to w past 2^63 itself, every answer is exact.
     rng = random.Random(4009)
     word = 2**63 - 1
-    exact = refused = 0
     for n in (1, 2, 5, 9, 12):
-        m = math.isqrt(n)
-        if m * m < n:
-            m += 1
-        s = -(-n // m)
-        top = word // (400 * n)  # Sequence's headroom bound for a and b
-        for shift in range(0, 60, 4):
-            w = max(1, top >> shift)
+        top = word // (400 * n)  # the old headroom bound for a and b
+        assert top << 16 > word
+        for shift in range(-16, 60, 4):
+            w = max(1, top << -shift if shift < 0 else top >> shift)
             a = [rng.randint(-w, w) for _ in range(n)]
             b = [rng.randint(-w, w) for _ in range(n)]
             a[rng.randrange(n)] = rng.choice([-w, w])
-            try:
-                got = max_conv_via_upperbound(a, b)
-            except ValueError as exc:
-                assert "sequence rejected" in str(exc)
-                # probes reach at most max|a| + max|b|, so this input is
-                # past the documented bound
-                assert 800 * s * (2 * n * 2 * w + 1) > word
-                refused += 1
-                continue
-            assert got == max_conv(a, b, limit=n - 1)
-            exact += 1
-    assert exact and refused
+            assert max_conv_via_upperbound(a, b) == max_conv(a, b, limit=n - 1)
 
 
 def _blocks(n):
