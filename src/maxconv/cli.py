@@ -21,7 +21,6 @@ import numpy as np
 
 from .colorcoding import knapsack_rand
 from .core import (
-    DEFAULT_KERNEL,
     KERNELS,
     check_lower_bound,
     check_upper_bound,
@@ -90,22 +89,20 @@ def _superadd_via_uknapsack(seq) -> bool:
     return bool(_route(reduce_superadditivity_to_unbounded(seq), unbounded_knapsack_dp))
 
 
-def _conv_instance(kernel: str):
-    return lambda inst: max_conv(inst.a, inst.b, inst.limit, kernel)
-
-
-def _conv(kernel: str):
-    # The problem's canonical output has the operands' common length n;
-    # the kernels themselves can produce the full 2n-1 product.
+def _conv(name: str):
+    # The method of the kernel registered as ``name``.  The problem's
+    # canonical output has the operands' common length n; the kernels
+    # themselves can produce the full 2n-1 product.  The kernel goes by
+    # name, so a KERNELS entry replaced after import is the one run.
     return lambda o, p: {
-        "sequence": max_conv(o[0], o[1], limit=len(o[0]) - 1, kernel=kernel).tolist()
+        "sequence": max_conv(o[0], o[1], limit=len(o[0]) - 1, kernel=name).tolist()
     }
 
 
 METHODS = {
+    # One method per registered kernel, then the oracle route.
     "maxconv": {
-        "naive": _conv("naive"),
-        "python": _conv("python"),
+        **{name: _conv(name) for name in KERNELS},
         "via-upperbound": lambda o, p: {"sequence": max_conv_via_upperbound(*o).tolist()},
     },
     "upperbound": {
@@ -134,7 +131,7 @@ METHODS = {
     "knapsack01": {
         "dp": lambda o, p: _profile(knapsack01_dp(*o)),
         "rand": lambda o, p: _profile(
-            knapsack_rand(o[0].items, o[0].capacity, p["delta"], p["seed"], p["kernel"])
+            knapsack_rand(o[0].items, o[0].capacity, p["delta"], p["seed"])
         ),
     },
     "uknapsack": {
@@ -146,12 +143,14 @@ METHODS = {
     "mcsp": {
         "brute": lambda o, p: {"sums": mcsp_brute(*o)},
         "via-maxconv": lambda o, p: {
-            "sums": list(_route(reduce_mcsp_to_maxconv(*o), _conv_instance(p["kernel"])))
+            "sums": list(
+                _route(reduce_mcsp_to_maxconv(*o), lambda i: max_conv(i.a, i.b, i.limit))
+            )
         },
     },
     "treesparsity": {
         "dp": lambda o, p: _sparsity(o[1], tree_sparsity_dp(*o)[1]),
-        "via-maxconv": lambda o, p: _sparsity(o[1], tree_sparsity_via_maxconv(o[0], p["kernel"])),
+        "via-maxconv": lambda o, p: _sparsity(o[1], tree_sparsity_via_maxconv(o[0])),
     },
     "necklace": {
         "brute": lambda o, p: {"doubled_objective": necklace_linf_brute(*o)},
@@ -190,13 +189,14 @@ def _method(problem: str, name: str):
 
 
 def _run_opts(args, seed: int) -> dict:
-    return {"delta": args.delta, "seed": seed, "kernel": args.kernel}
+    return {"delta": args.delta, "seed": seed}
 
 
 def _cmd_gen(args) -> int:
     opts = {"n": args.n, "values": args.values, "t": args.t, "k": args.k, "circle": args.circle}
     payload = gen_payload(args.problem, random.Random(args.seed), opts)
-    meta = {"seed": args.seed, "generator": {k: v for k, v in opts.items() if v is not None}}
+    used = {k: opts[k] for k in PROBLEMS[args.problem].options if opts[k] is not None}
+    meta = {"seed": args.seed, "generator": used}
     text = dump_instance(args.problem, payload, meta)
     if args.out and args.out != "-":
         Path(args.out).write_text(text)
@@ -300,7 +300,6 @@ def _cmd_bench(args) -> int:
 def _solver_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernel", default=DEFAULT_KERNEL, choices=sorted(KERNELS))
 
 
 def _build_parser() -> argparse.ArgumentParser:

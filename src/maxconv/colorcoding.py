@@ -8,7 +8,7 @@ item) are folded together.  A part profile is a step function and the
 profile it joins is non-decreasing, so that join is the maximum of a few
 shifted copies, one per jump of the step function: O(t) numpy work per
 jump instead of a quadratic kernel call.  Layer merges and the final
-accumulation are general truncated max-plus convolutions on the selected
+accumulation are general truncated max-plus convolutions on the default
 kernel.  Error is one-sided: every profile entry produced anywhere is
 achievable by a real subset of items, so results never exceed the exact
 optimum.
@@ -25,7 +25,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import WORD_MAX, Kernel, maxconv_values, resolve_kernel
+from .core import WORD_MAX, maxconv_values
 from .oracles import ValueProfile, _check_int
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -109,11 +109,6 @@ def _join_part(cur: np.ndarray, part: list[tuple[int, int]]) -> np.ndarray:
     return out
 
 
-def _join(p: list[int], q: list[int], limit: int, kernel: Kernel) -> list[int]:
-    assert limit <= len(p) + len(q) - 2
-    return maxconv_values(p, q, limit, kernel)
-
-
 def part_profile(part: Iterable[tuple[int, int]], limit: int) -> ValueProfile:
     """Profile of choosing at most one item from the part."""
     _check_int(limit, "limit")
@@ -165,7 +160,6 @@ def color_coding_layer(
     l: int,
     delta: float,
     rng: SeedLike,
-    kernel: str | Kernel | None = None,
 ) -> ValueProfile:
     """Layer solver: items weigh at most 2t/l each and at most l of them fit
     in any packing (enforced; violating items are a caller bug).
@@ -187,7 +181,6 @@ def color_coding_layer(
     # every weight exceeds t/(l+1), or trivially when |Z| <= l.
     if len(zs) > l and any(w * (l + 1) <= t for w, _ in zs):
         raise ValueError("light items would let more than l items fit the layer")
-    kern = resolve_kernel(kernel)
     root = _seedseq(rng)
     log_ld = math.log2(l / delta)
     if l < log_ld:
@@ -209,7 +202,7 @@ def color_coding_layer(
     while len(profs) > 1:
         cap = min(t, math.ceil((2**level) * 2 * gamma * t / l))
         profs = [
-            _join(profs[2 * j], profs[2 * j + 1], cap, kern)
+            maxconv_values(profs[2 * j], profs[2 * j + 1], cap)
             for j in range(len(profs) // 2)
         ]
         level += 1
@@ -223,7 +216,6 @@ def knapsack_rand(
     t: int,
     delta: float,
     rng: SeedLike,
-    kernel: str | Kernel | None = None,
 ) -> ValueProfile:
     """Randomised 0/1-knapsack profile over capacities 0..t.
 
@@ -237,7 +229,6 @@ def knapsack_rand(
     _validate_delta(delta)
     root = _seedseq(rng)
     zs = [(w, v) for w, v in _clean_items(items) if w <= t]
-    kern = resolve_kernel(kernel)
     if t == 0:
         return ValueProfile((0,))
     if not zs:
@@ -256,8 +247,6 @@ def knapsack_rand(
     for i in range(1, layers + 1):
         if not buckets[i]:
             continue
-        prof = color_coding_layer(
-            buckets[i], t, 1 << i, delta / layers, seqs[i - 1], kern
-        )
-        acc = _join(acc, list(prof.best), t, kern)
+        prof = color_coding_layer(buckets[i], t, 1 << i, delta / layers, seqs[i - 1])
+        acc = maxconv_values(acc, list(prof.best), t)
     return ValueProfile(tuple(acc))

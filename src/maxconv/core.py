@@ -1,8 +1,10 @@
 """Integer sequences and exact (max,+)/(min,+) convolution kernels.
 
 The product ``c[k] = max_{i+j=k} (a[i] + b[j])`` is the primitive every
-other module builds on.  Kernels operate on raw integer lists, are
-registered by name so alternatives can be swapped in, and must agree
+other module builds on.  Kernels operate on raw integer lists and are
+registered by name in ``KERNELS``; every route runs ``DEFAULT_KERNEL``,
+looked up there when it runs, and only ``maxconv_values``, ``max_conv``
+and ``min_conv`` take another kernel's name.  Every kernel must agree
 exactly with the plain quadratic enumeration (the test suite enforces
 this, it is never assumed).  This module also hosts the decision
 predicates of the problem family: dominance checks against a candidate
@@ -125,6 +127,7 @@ Kernel = Callable[[list, list, int], list]
 
 
 def _maxconv_plain(a: list, b: list, limit: int) -> list:
+    """Plain quadratic enumeration in Python integers, exact at any size."""
     la, lb = len(a), len(b)
     out = []
     for k in range(limit + 1):
@@ -139,11 +142,6 @@ def _maxconv_plain(a: list, b: list, limit: int) -> list:
                 best = s
         out.append(best)
     return out
-
-
-def maxconv_python_kernel(a: list, b: list, limit: int) -> list:
-    """Plain quadratic enumeration in Python integers, exact at any size."""
-    return _maxconv_plain(a, b, limit)
 
 
 def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
@@ -233,25 +231,23 @@ def _tiled_maxconv(
 
 KERNELS: dict[str, Kernel] = {
     "naive": maxconv_numpy_kernel,
-    "python": maxconv_python_kernel,
+    "python": _maxconv_plain,
 }
 
 DEFAULT_KERNEL = "naive"
 
 
-def resolve_kernel(kernel: str | Kernel | None = None) -> Kernel:
-    if kernel is None:
-        kernel = DEFAULT_KERNEL
-    if callable(kernel):
-        return kernel
+def resolve_kernel(kernel: str | None = None) -> Kernel:
+    """The registered kernel of that name (``DEFAULT_KERNEL`` for None),
+    looked up when called."""
     try:
-        return KERNELS[kernel]
+        return KERNELS[DEFAULT_KERNEL if kernel is None else kernel]
     except KeyError:
         raise ValueError(f"unknown kernel {kernel!r}; available: {sorted(KERNELS)}")
 
 
 def maxconv_values(
-    a: list, b: list, limit: int | None = None, kernel: str | Kernel | None = None
+    a: list, b: list, limit: int | None = None, kernel: str | None = None
 ) -> list:
     """(max,+)-convolution of raw integer lists, truncated at index ``limit``.
 
@@ -277,7 +273,7 @@ def max_conv(
     a: SequenceLike,
     b: SequenceLike,
     limit: int | None = None,
-    kernel: str | Kernel | None = None,
+    kernel: str | None = None,
 ) -> Sequence:
     """Max-plus convolution; output index k runs over 0..min(limit, len(a)+len(b)-2)."""
     return Sequence(maxconv_values(as_values(a), as_values(b), limit, kernel))
@@ -287,7 +283,7 @@ def min_conv(
     a: SequenceLike,
     b: SequenceLike,
     limit: int | None = None,
-    kernel: str | Kernel | None = None,
+    kernel: str | None = None,
 ) -> Sequence:
     """Min-plus convolution, computed through the negation identity."""
     av = [-v for v in as_values(a)]
@@ -310,19 +306,15 @@ class Decision:
         return self.holds
 
 
-def _require_equal_lengths(*seqs: list) -> int:
-    n = len(seqs[0])
-    if any(len(s) != n for s in seqs):
-        raise ValueError("sequences must have equal lengths")
+def _require_equal_lengths(first: list, *rest: list) -> int:
+    n = len(first)
+    for seq in rest:
+        if len(seq) != n:
+            raise ValueError("sequences must have equal lengths")
     return n
 
 
-def check_upper_bound(
-    a: SequenceLike,
-    b: SequenceLike,
-    c: SequenceLike,
-    kernel: str | Kernel | None = None,
-) -> Decision:
+def check_upper_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Decision:
     """Does c dominate the convolution, i.e. a[i]+b[j] <= c[i+j] for all i+j < n?
 
     On failure the witness is the violating (i, j) with the smallest i + j,
@@ -330,15 +322,13 @@ def check_upper_bound(
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
     _require_equal_lengths(av, bv, cv)
-    return _dominates(av, bv, cv, kernel)
+    return _dominates(av, bv, cv)
 
 
-def _dominates(
-    av: list, bv: list, cv: list, kernel: str | Kernel | None = None
-) -> Decision:
+def _dominates(av: list, bv: list, cv: list) -> Decision:
     """check_upper_bound on non-empty, equal-length lists that have already
     passed the Sequence checks; it runs no check of its own."""
-    return _dominance_verdict(av, bv, cv, resolve_kernel(kernel)(av, bv, len(av) - 1))
+    return _dominance_verdict(av, bv, cv, resolve_kernel()(av, bv, len(av) - 1))
 
 
 def _dominance_verdict(av: list, bv: list, cv: list, conv: list) -> Decision:
@@ -356,19 +346,14 @@ def _dominance_verdict(av: list, bv: list, cv: list, conv: list) -> Decision:
     return Decision(True)
 
 
-def check_lower_bound(
-    a: SequenceLike,
-    b: SequenceLike,
-    c: SequenceLike,
-    kernel: str | Kernel | None = None,
-) -> Decision:
+def check_lower_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Decision:
     """Is every c[k] reachable, i.e. some a[i]+b[j] >= c[k] with i+j = k?
 
     On failure the witness is the smallest k with no adequate decomposition.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
     n = _require_equal_lengths(av, bv, cv)
-    conv = maxconv_values(av, bv, n - 1, kernel)
+    conv = maxconv_values(av, bv, n - 1)
     for k in range(n):
         if conv[k] < cv[k]:
             return Decision(False, k)

@@ -35,6 +35,7 @@ from .core import (
     SequenceLike,
     _dominance_verdict,
     _dominates,
+    _require_equal_lengths,
     as_values,
     resolve_kernel,
 )
@@ -67,9 +68,7 @@ def detect_single(
     below p.  Uses at most ceil(log2 n) + 1 oracle calls.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = len(av)
-    if len(bv) != n or len(cv) != n:
-        raise ValueError("sequences must have equal lengths")
+    n = _require_equal_lengths(av, bv, cv)
 
     def holds(p: int) -> bool:
         return bool(upper_bound_oracle(av[:p], bv[:p], cv[:p]))
@@ -109,9 +108,7 @@ def detect_violations(
     them again on every search.  Values of any magnitude are exact.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = len(av)
-    if len(bv) != n or len(cv) != n:
-        raise ValueError("sequences must have equal lengths")
+    n = _require_equal_lengths(av, bv, cv)
     w = max(1, max(max(abs(v) for v in vals) for vals in (av, bv, cv)))
     mask = 2 * n * w + 1
     pad = -mask
@@ -157,7 +154,7 @@ def _dominates_before_pad(xa: list, xb: list, xc: list, pad: int) -> Decision:
     end would only sum pads."""
     ra = xa.index(pad) if xa[-1] == pad else len(xa)
     rb = xb.index(pad) if xb[-1] == pad else len(xb)
-    conv = resolve_kernel(None)(xa[:ra], xb[:rb], min(len(xc), ra + rb - 1) - 1)
+    conv = resolve_kernel()(xa[:ra], xb[:rb], min(len(xc), ra + rb - 1) - 1)
     return _dominance_verdict(xa, xb, xc, conv)
 
 
@@ -174,9 +171,7 @@ def max_conv_via_upperbound(
     between min(a) + min(b) and max(a) + max(b).
     """
     av, bv = as_values(a), as_values(b)
-    n = len(av)
-    if len(bv) != n:
-        raise ValueError("sequences must have equal lengths")
+    n = _require_equal_lengths(av, bv)
     lo = [min(av) + min(bv)] * n
     hi = [max(av) + max(bv)] * n
     while any(l < h for l, h in zip(lo, hi)):

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
-    Kernel,
     MaxConvInstance,
     Sequence,
     SequenceLike,
+    _require_equal_lengths,
     as_values,
     maxconv_values,
     normalize_nonneg_monotone,
@@ -152,9 +152,7 @@ def reduce_upperbound_to_superadditivity(
     land on the c-block, where the offsets cancel.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = len(av)
-    if len(bv) != n or len(cv) != n:
-        raise ValueError("sequences must have equal lengths")
+    n = _require_equal_lengths(av, bv, cv)
     w = max(max(abs(v) for v in vals) for vals in (av, bv, cv))
     shift_c = w + 1
     shift_d = 2 * w + 1
@@ -266,9 +264,7 @@ def _subtree_sizes(tree: WeightedTree, kids: list[list[int]]) -> list[int]:
     return sizes
 
 
-def tree_sparsity_via_maxconv(
-    tree: WeightedTree, kernel: str | Kernel | None = None
-) -> list[int]:
+def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
     """Root sparsity vector computed through heavy-path decomposition.
 
     The tree is covered by spines that always descend into the child with
@@ -292,9 +288,6 @@ def tree_sparsity_via_maxconv(
             spine.append(heavy)
         spines.append(spine)
 
-    def join(p: list[int], q: list[int]) -> list[int]:
-        return maxconv_values(p, q, len(p) + len(q) - 2, kernel)
-
     vec: dict[int, list[int]] = {}
     for spine in reversed(spines):
         ell = len(spine)
@@ -305,7 +298,7 @@ def tree_sparsity_via_maxconv(
             off = [c for c in kids[s] if idx + 1 >= ell or c != spine[idx + 1]]
             acc = [0]
             for c in off:
-                acc = join(acc, vec[c])
+                acc = maxconv_values(acc, vec[c])
             u_at.append(acc)
         weights = [tree.weight[s] for s in spine]
 
@@ -319,10 +312,10 @@ def tree_sparsity_via_maxconv(
             c = (a + b) // 2
             u_left, y_left = solve(a, c)
             u_right, y_right = solve(c + 1, b)
-            u = join(u_left, u_right)
+            u = maxconv_values(u_left, u_right)
             spine_sum = sum(weights[a : c + 1])
             taken = c - a + 1
-            through = join(u_left, y_right)
+            through = maxconv_values(u_left, y_right)
             total = (len(u_left) - 1) + (len(y_right) - 1) + taken
             y = []
             for size in range(total + 1):
@@ -367,9 +360,7 @@ def reduce_lowerbound_to_necklace(
     is NO.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = len(av)
-    if len(bv) != n or len(cv) != n:
-        raise ValueError("sequences must have equal lengths")
+    n = _require_equal_lengths(av, bv, cv)
     w = max(max(abs(v) for v in vals) for vals in (av, bv, cv))
     c1 = c2 = w + 1
     a1 = [v + c1 for v in av]
@@ -429,9 +420,7 @@ def reduce_upperbound_to_3sumconv(
     (add W to a and b, 2W to c), which preserves every strict inequality.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = len(av)
-    if len(bv) != n or len(cv) != n:
-        raise ValueError("sequences must have equal lengths")
+    n = _require_equal_lengths(av, bv, cv)
     w = max(max(abs(v) for v in vals) for vals in (av, bv, cv))
     a1 = [v + w for v in av]
     b1 = [v + w for v in bv]

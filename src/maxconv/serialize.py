@@ -153,11 +153,13 @@ def _gen_necklace(rng, n, w, opts) -> dict:
 class Problem(NamedTuple):
     """What an instance of one problem is: its payload fields (checked by
     ``FIELDS``, where a name means the same thing in every problem), the typed
-    objects the solvers take, and a seeded generator ``gen(rng, n, values, opts)``."""
+    objects the solvers take, a seeded generator ``gen(rng, n, values, opts)``,
+    and the generator options that generator reads (``gen`` records these)."""
 
     fields: tuple[str, ...]
     objects: Callable[[dict], tuple]
     gen: Callable[[random.Random, int, int, dict], dict]
+    options: tuple[str, ...] = ("n", "values")
 
 
 def _sequences(fields: tuple[str, ...], gen) -> Problem:
@@ -168,7 +170,7 @@ def _knapsack(mode: str) -> Problem:
     def objects(p):
         return (KnapsackInstance(tuple((w, v) for w, v in p["items"]), p["capacity"], mode),)
 
-    return Problem(("items", "capacity"), objects, _gen_knapsack)
+    return Problem(("items", "capacity"), objects, _gen_knapsack, ("n", "values", "t"))
 
 
 PROBLEMS: dict[str, Problem] = {
@@ -185,11 +187,13 @@ PROBLEMS: dict[str, Problem] = {
         ("parent", "weight", "k"),
         lambda p: (WeightedTree(tuple(p["parent"]), tuple(p["weight"])), p["k"]),
         _gen_tree,
+        ("n", "values", "k"),
     ),
     "necklace": Problem(
         ("x", "y", "circle_length"),
         lambda p: (NecklaceInstance(tuple(p["x"]), tuple(p["y"]), p["circle_length"]),),
         _gen_necklace,
+        ("n", "circle"),
     ),
     "3sumconv": _sequences(("a", "b", "c"), _gen_3sumconv),
 }

@@ -5,13 +5,14 @@ import io
 import json
 import random
 import re
+import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxconv import KERNELS, cli
+from maxconv import KERNELS, Sequence, cli
 from maxconv.cli import METHODS, main
 from maxconv.serialize import (
     FIELDS,
@@ -38,7 +39,9 @@ TAGS = (
 )
 # sha256 over every `gen` output of test_gen_is_byte_identical_for_same_seed,
 # in its loop order.  Any change to a generator or to the file format moves it.
-GEN_DIGEST = "d90c612c32b3894175d5b1e3e9804fe322b60b91781c6259c6f6b3bcd863306a"
+GEN_DIGEST = "dbf12234edeb335129c0a3780868be9e4f0282e2dffdca7e06c7261a3464c4b1"
+# The same over the payloads alone (canonical JSON): only a generator moves it.
+PAYLOAD_DIGEST = "18c8491019a0b4b7441936168c59327ba6953ec31610ab5fb0112b92cc85b338"
 DOCS = Path(__file__).resolve().parent.parent
 
 
@@ -50,7 +53,7 @@ def run_cli(args):
 
 
 def test_gen_is_byte_identical_for_same_seed():
-    digest = hashlib.sha256()
+    digest, payloads = hashlib.sha256(), hashlib.sha256()
     for tag in TAGS:
         for seed in range(5):
             for extra in ([], ["--t", "7"], ["--k", "2"], ["--circle", "9"]):
@@ -60,6 +63,9 @@ def test_gen_is_byte_identical_for_same_seed():
                 )
                 assert code == 0
                 digest.update(out.encode())
+                payload = json.loads(out)["payload"]
+                payloads.update(json.dumps(payload, sort_keys=True).encode())
+    assert payloads.hexdigest() == PAYLOAD_DIGEST
     assert digest.hexdigest() == GEN_DIGEST
 
 
@@ -334,6 +340,43 @@ def test_docs_list_the_registered_problems_and_methods():
     assert list(documented) == list(METHODS)
 
 
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # Every `maxconv ...` line of README's CLI block, in order, exits 0.
+    readme = (DOCS / "README.md").read_text()
+    start = readme.index("```sh", readme.index("## CLI"))
+    block = readme[start : readme.index("```", start + 3)]
+    lines = [line for line in block.splitlines() if line.startswith("maxconv ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run_cli(shlex.split(line)[1:])[0] == 0, line
+
+
+def test_maxconv_methods_are_the_registered_kernels(monkeypatch):
+    # One method per KERNELS entry, in its order, then the oracle route.
+    # Each looks its kernel up by name when it runs, so a wrapped entry
+    # is the one that computes the answer.
+    assert list(METHODS["maxconv"]) == [*KERNELS, "via-upperbound"]
+    objs = (Sequence([1, 5, 2]), Sequence([0, 3, 1]))
+    for name, kernel in list(KERNELS.items()):
+        calls = []
+        monkeypatch.setitem(KERNELS, name, lambda *args, k=kernel: calls.append(1) or k(*args))
+        answer = METHODS["maxconv"][name](objs, {})
+        assert (answer, calls) == ({"sequence": [1, 5, 8]}, [1]), name
+
+
+def test_gen_records_only_the_options_its_generator_reads():
+    for tag in TAGS:
+        code, out = run_cli(
+            ["gen", "--problem", tag, "--n", "3", "--t", "7", "--k", "2", "--circle", "9"]
+        )
+        assert code == 0
+        assert sorted(parse_instance(out)["meta"]["generator"]) == sorted(PROBLEMS[tag].options)
+    code, out = run_cli(["gen", "--problem", "mcsp", "--n", "2", "--circle", "0", "--t", "-5"])
+    assert code == 0
+    assert parse_instance(out)["meta"]["generator"] == {"n": 2, "values": 100}
+
+
 def test_every_route_is_exact_past_the_word_seed7001():
     # Values at 2^62 and past 2^63 make the reductions grow far beyond the
     # 64-bit word; every deterministic route still gives the reference answer.
@@ -345,11 +388,10 @@ def test_every_route_is_exact_past_the_word_seed7001():
                 opts = {"n": rng.randint(1, 7), "values": values}
                 payload = validate_payload(problem, gen_payload(problem, rng, opts))
                 objs = payload_objects(problem, payload)
-                for kernel in KERNELS:
-                    run_opts = {"delta": 0.25, "seed": 0, "kernel": kernel}
-                    ref = reference(objs, run_opts)
-                    for name, solve in methods.items():
-                        if (problem, name) in cli.RANDOMIZED:
-                            continue
-                        got = cli._compare(problem, name, solve(objs, run_opts), ref)
-                        assert got == (True, False), (problem, name, values, kernel, payload)
+                run_opts = {"delta": 0.25, "seed": 0}
+                ref = reference(objs, run_opts)
+                for name, solve in methods.items():
+                    if (problem, name) in cli.RANDOMIZED:
+                        continue
+                    got = cli._compare(problem, name, solve(objs, run_opts), ref)
+                    assert got == (True, False), (problem, name, values, payload)

@@ -173,8 +173,6 @@ def test_knapsack_rand_validates_arguments():
         knapsack_rand(items, 3, 0.5, 7)
     with pytest.raises(TypeError):
         knapsack_rand(items, 3, 0.05, "x")
-    with pytest.raises(ValueError):
-        knapsack_rand(items, 3, 0.05, 7, kernel="missing")
     # Checked before the degenerate shortcuts, not only when joins run.
     with pytest.raises(TypeError):
         knapsack_rand([], 0, 0.05, "x")

@@ -190,7 +190,8 @@ def test_kernels_at_every_limit_seed1009(tiles):
 
 
 def test_conv_output_is_not_held_to_the_input_headroom_rule():
-    w = WORD_MAX // 800  # the largest |v| Sequence takes at n = 2
+    # Outputs hold twice the largest |v| the retired rule took at n = 2.
+    w = WORD_MAX // 800
     Sequence([w, w])
     for kernel in KERNELS:
         assert max_conv([w, w], [w, w], kernel=kernel) == [2 * w] * 3
@@ -429,7 +430,7 @@ def test_maxconv_values_converts_numpy_integers():
         assert all(type(v) is int for v in got)
 
 
-def test_overflow_is_a_hard_error():
+def test_sums_past_the_word_are_exact():
     # Sums past the word are exact Python ints, never wrapped or refused.
     big = (2**63 - 1) // 2 + 10
     for kernel in KERNELS:

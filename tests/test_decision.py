@@ -158,7 +158,7 @@ def test_default_oracle_is_check_upper_bound_seed4008():
         assert default.violated == _brute_violated(a, b, c)
 
 
-def test_via_upperbound_up_to_the_headroom_bound_seed4009():
+def test_via_upperbound_is_exact_past_the_retired_headroom_bound_seed4009():
     # The windows detect_violations builds hold K = 2*n*w + 1.  From small
     # values, through the retired headroom bound (n * w * 400 <= 2^63 - 1),
     # to w past 2^63 itself, every answer is exact.
