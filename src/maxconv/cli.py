@@ -9,6 +9,7 @@ with the reference method.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import random
@@ -302,7 +303,9 @@ def _solver_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="maxconv",
         description="Solvers, reductions, and benchmarks for the max-plus convolution family.",

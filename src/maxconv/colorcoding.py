@@ -11,7 +11,9 @@ jump instead of a quadratic kernel call.  Layer merges and the final
 accumulation are general truncated max-plus convolutions on the default
 kernel.  Error is one-sided: every profile entry produced anywhere is
 achievable by a real subset of items, so results never exceed the exact
-optimum.
+optimum.  For the same reason a trial that puts every item in a part of its
+own is final: its profile is the exact optimum, so color coding stops there
+and the trial count is an upper bound.
 
 Randomness is fully reproducible: a single integer seed feeds a splittable
 numpy SeedSequence, one child per layer / trial / partition draw, and all
@@ -131,6 +133,13 @@ def color_coding(
     probability >= 1/4, so repeating ceil(log_{4/3}(1/delta)) trials and
     taking the pointwise maximum gives the bound.  Output entries are always
     achievable (one-sided error).
+
+    That trial count is an upper bound: a trial that puts every item in a
+    part of its own has computed the exact 0/1 optimum truncated at t, which
+    no trial can exceed, so the loop stops there.  The profile equals the
+    one every trial would give.  Trial i draws from the i-th child spawned
+    from ``rng``, one spawn per trial run, so a SeedSequence passed in ends
+    with one spawned child per trial run.
     """
     zs = _clean_items(items)
     _check_int(t, "capacity")
@@ -141,7 +150,8 @@ def color_coding(
     parts_total = k * k
     root = _seedseq(rng)
     best = np.zeros(t + 1, dtype=np.int64)
-    for trial_seq in root.spawn(trials):
+    for _ in range(trials):
+        (trial_seq,) = root.spawn(1)
         gen = np.random.Generator(np.random.PCG64(trial_seq))
         buckets: dict[int, list[tuple[int, int]]] = {}
         if zs:
@@ -151,6 +161,8 @@ def color_coding(
         for part_idx in sorted(buckets):
             cur = _join_part(cur, buckets[part_idx])
         np.maximum(best, cur, out=best)
+        if len(buckets) == len(zs):
+            break
     return ValueProfile(tuple(best.tolist()))
 
 

@@ -8,6 +8,7 @@ can serve as ground truth when the fancier routes are cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 from .core import Decision, SequenceLike, as_values
 
@@ -63,8 +64,18 @@ class ValueProfile:
     best: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.best:
+        b = self.best
+        if not b:
             raise ValueError("profiles must cover at least capacity 0")
+        # A list or tuple of plain ints, non-negative and sorted, passes at C
+        # speed; anything else takes the loop below, which names the fault.
+        if (
+            isinstance(b, (tuple, list))
+            and set(map(type, b)) == {int}
+            and b[0] >= 0
+            and all(map(le, b, b[1:]))
+        ):
+            return
         prev = None
         for v in self.best:
             _check_int(v, "profile entry")

@@ -3,10 +3,13 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import shlex
-from contextlib import redirect_stdout
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +258,37 @@ def test_solve_exit_codes(tmp_path):
     good.write_text(dump_instance("mcsp", {"a": [1, 2]}))
     code, _ = run_cli(["solve", "--input", str(good), "--method", "no-such-method"])
     assert code == 1
+
+
+def _without_wall_time(out):
+    return re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": _', out)
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path):
+    # The parser is built once per process; calls after a bad argv must
+    # still answer as a fresh process does.
+    inst = tmp_path / "k.json"
+    inst.write_text(dump_instance("knapsack01", {"items": [[1, 3], [2, 4], [3, 9]], "capacity": 5}))
+    solve = ["solve", "--input", str(inst), "--method", "rand", "--seed", "3"]
+    calls = [solve, ["gen", "--problem", "mcsp", "--n", "4", "--seed", "2"], ["solve"], solve]
+    env = {**os.environ, "PYTHONPATH": str(DOCS / "src")}
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "maxconv.cli", *argv], capture_output=True, text=True, env=env
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code == fresh.returncode, argv
+        assert _without_wall_time(out.getvalue()) == _without_wall_time(fresh.stdout), argv
+        assert err.getvalue() == fresh.stderr, argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_crosscheck_upperbound_clean():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from maxconv import (
     knapsack_rand,
     part_profile,
 )
+from maxconv import colorcoding
 from maxconv.colorcoding import _join_part, _part_best
 from maxconv.core import maxconv_values
 
@@ -224,3 +226,102 @@ def test_sums_at_the_word_limit_stay_exact():
     for seed in range(10):
         assert list(knapsack_rand(items, 3, 0.25, seed)) == exact
         assert list(color_coding(items, 3, 2, 0.25, seed)) == exact
+
+
+def _color_coding_every_trial(items, t, k, delta, seed):
+    """color_coding as it was before the early stop: every trial runs, on
+    children spawned all at once.  The reference for the early stop."""
+    zs = [(int(w), int(v)) for w, v in items]
+    trials = max(1, math.ceil(math.log(1 / delta) / math.log(4 / 3)))
+    best = np.zeros(t + 1, dtype=np.int64)
+    for trial_seq in np.random.SeedSequence(seed).spawn(trials):
+        gen = np.random.Generator(np.random.PCG64(trial_seq))
+        buckets = {}
+        if zs:
+            for item, part in zip(zs, gen.integers(0, k * k, size=len(zs))):
+                buckets.setdefault(int(part), []).append(item)
+        cur = np.zeros(t + 1, dtype=np.int64)
+        for part_idx in sorted(buckets):
+            cur = _join_part(cur, buckets[part_idx])
+        np.maximum(best, cur, out=best)
+    return best.tolist()
+
+
+def _first_trial_is_collision_free(n, k, seed):
+    (child,) = np.random.SeedSequence(seed).spawn(1)
+    parts = np.random.Generator(np.random.PCG64(child)).integers(0, k * k, size=n)
+    return len(set(parts.tolist())) == n
+
+
+def _early_stop_cases(rng):
+    # Empty lists, zero weights, duplicate items and weights above t.
+    yield [], 3
+    yield [(0, 5), (0, 5)], 2
+    yield [(2, 3), (2, 3), (9, 4)], 4
+    yield [(5, 1), (6, 2)], 4
+    for _ in range(60):
+        t = rng.choice([0, 1, 3, 8, 20])
+        n = rng.randint(0, 7)
+        yield [(rng.randint(0, t + 3), rng.randint(0, 20)) for _ in range(n)], t
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_early_stop_matches_every_trial_seed5008(k, monkeypatch):
+    # k = 1 and k = 2 force collisions; k = 8 spreads a few items over 64
+    # parts, so the first trial is usually the only one.
+    joins = []
+
+    def counted_join(cur, part):
+        joins.append(part)
+        return _join_part(cur, part)
+
+    monkeypatch.setattr(colorcoding, "_join_part", counted_join)
+    rng = random.Random(5008 + k)
+    one_trial = 0
+    for case, (items, t) in enumerate(_early_stop_cases(rng)):
+        for delta in (0.05, 0.25):
+            seed = 100 * case + k
+            want = _color_coding_every_trial(items, t, k, delta, seed)
+            root = np.random.SeedSequence(seed)
+            joins.clear()
+            got = color_coding(items, t, k, delta, root)
+            assert list(got) == want, (items, t, k, delta, seed)
+            trials = max(1, math.ceil(math.log(1 / delta) / math.log(4 / 3)))
+            assert 1 <= root.n_children_spawned <= trials
+            if _first_trial_is_collision_free(len(items), k, seed):
+                # one join per item, in one trial, then the loop stops
+                assert root.n_children_spawned == 1
+                assert len(joins) == len(items)
+                one_trial += 1
+    assert one_trial > (0 if k > 1 else 20)
+
+
+def test_early_stop_answers_exactly_where_a_later_trial_overflowed_seed5009():
+    # Values near 2^62: a collision-free trial may pass the join guard in
+    # one part order and a later trial fail it in another.  The early stop
+    # then never runs the later trial; its answer must be the exact one.
+    rng = random.Random(5009)
+    big = [1, 2**61, 2**62 - 3, 2**62, 2**62 + 1, 2**62 - 1]
+    answered = 0
+    for _ in range(1500):
+        t = rng.randint(1, 5)
+        k = rng.choice([1, 2, 3])
+        items = [(rng.randint(0, t + 1), rng.choice(big)) for _ in range(rng.randint(2, 4))]
+        seed = rng.randrange(1000)
+        try:
+            want = _color_coding_every_trial(items, t, k, 0.25, seed)
+        except OverflowError:
+            want = None
+        try:
+            got = list(color_coding(items, t, k, 0.25, seed))
+        except OverflowError:
+            # the early stop runs a prefix of the trials, so it raises
+            # only where every trial ran
+            assert want is None
+            continue
+        if want is None:
+            assert got == list(knapsack01_dp(KnapsackInstance(tuple(items), t)))
+            answered += 1
+        else:
+            assert got == want
+    assert answered > 0

@@ -1,12 +1,15 @@
 """Reference solvers against exhaustive enumeration."""
 
+import enum
 import random
 
+import numpy as np
 import pytest
 
 from maxconv import (
     KnapsackInstance,
     NecklaceInstance,
+    ValueProfile,
     WeightedTree,
     knapsack01_dp,
     mcsp_brute,
@@ -16,6 +19,7 @@ from maxconv import (
     unbounded_knapsack_dp,
 )
 
+from maxconv.oracles import _check_int
 from helpers import (
     brute_mcsp,
     enum_knapsack01,
@@ -213,3 +217,65 @@ def test_three_sum_conv_planted_seed2007():
         assert three_sum_conv_brute(a, b, c).holds == want
         if planted:
             assert want
+
+
+def _reference_profile_check(best):
+    """ValueProfile's check as a per-entry loop: the reference for its
+    C-speed pass."""
+    if not best:
+        raise ValueError("profiles must cover at least capacity 0")
+    prev = None
+    for v in best:
+        _check_int(v, "profile entry")
+        if prev is not None and v < prev:
+            raise ValueError("profile entries must be non-decreasing")
+        prev = v
+    return best
+
+
+class _Small(enum.IntEnum):
+    TWO = 2
+
+
+class _MyInt(int):
+    pass
+
+
+PROFILE_INPUTS = {
+    "one zero": lambda: (0,),
+    "flat": lambda: (3, 3, 3),
+    "rising": lambda: (0, 1, 5, 5, 9),
+    "list": lambda: [0, 2, 4],
+    "empty tuple": lambda: (),
+    "empty list": lambda: [],
+    "bool": lambda: (True,),
+    "bool after int": lambda: (0, True),
+    "np.int64": lambda: (np.int64(0), np.int64(3)),
+    "np.int64 after int": lambda: (0, np.int64(3)),
+    "int subclass": lambda: (0, _MyInt(4)),
+    "IntEnum": lambda: (1, _Small.TWO),
+    "float": lambda: (0, 1.0),
+    "str": lambda: ("0",),
+    "None": lambda: (0, None),
+    "negative head": lambda: (-1, 0, 2),
+    "negative inside": lambda: (0, -1),
+    "decreasing": lambda: (0, 5, 4),
+    "decreasing at the end": lambda: [1, 2, 3, 2],
+    "huge": lambda: (0, 2**63 - 1, 2**63, 2**70),
+    "huge decreasing": lambda: (2**70, 2**63),
+}
+
+
+def _profile_outcome(build, best):
+    try:
+        got = build(best)
+    except (TypeError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+    return "built", type(got), tuple(got), [type(v) for v in got]
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_INPUTS))
+def test_profile_check_matches_the_reference_loop(name):
+    make = PROFILE_INPUTS[name]
+    want = _profile_outcome(_reference_profile_check, make())
+    assert _profile_outcome(lambda b: ValueProfile(b).best, make()) == want
