@@ -29,7 +29,9 @@ _VECTOR_CUTOFF = 2048
 # per step: a tile of 16 x 4096 int32 cells takes 256 KiB (int64: 512).
 # Narrower is not cheaper: numpy copies a 2-D add through its buffer when
 # rows hold at most a third of its 8192-element buffer (2730 columns), at
-# several times the cost per cell.
+# several times the cost per cell.  A tile is skipped when its rows' max
+# plus its b window's max is at most every output it folds into: no sum in
+# it can raise one, so the skip is exact.
 _TILE_ROWS = 16
 _TILE_COLS = 4096
 
@@ -154,7 +156,12 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
     that span fits, else in int64, and shifted back once at the end.  Each
     step adds ``_TILE_ROWS`` values of the shorter operand to reversed
     sliding windows of the longer one, ``_TILE_COLS`` output columns at a
-    time, and folds the tile's column maxima into the output.  Operands
+    time, and folds the tile's column maxima into the output.  A tile
+    whose largest possible sum (its rows' max plus the max of the b window
+    it reads) is at most every output it folds into is skipped: no sum in
+    it can raise an output, so the answer stays exact.  Row tiles run in
+    decreasing order of their max, ties in row order, so the outputs rise
+    early.  Operands
     whose span, values or extreme sums (``min a + min b``,
     ``max a + max b``) leave the 64-bit word take the plain loop, which is
     exact on Python ints, so no sum ever wraps.
@@ -216,11 +223,26 @@ def _tiled_maxconv(
     out = np.full(limit + 1, _LANE_RANGE[lane][0], dtype=lane)
     tile = np.empty((min(th, rows), tw), dtype=lane)
     best = np.empty(tw, dtype=lane)
-    for i0 in range(0, rows, th):
+    # Column tile m of every block reads b from bp[m*tw : (m+1)*tw + th - 1],
+    # so none of its sums exceeds its block's max plus that window's max.
+    # Every output is a real sum or the sentinel, so a tile whose bound is at
+    # most the least output it folds into cannot change one: it is skipped.
+    offs = np.arange(0, min(len(b) + th - 1, limit + 1), tw)
+    bmax = [int(bp[s : s + tw + th - 1].max()) for s in offs.tolist()]
+    amax = np.maximum.reduceat(av[:rows], np.arange(0, rows, th))
+    # Larger maxima first raise the outputs early.  Among equal maxima (a
+    # profile that levels off) the first block's outputs cover the later
+    # blocks' in a truncated call, so those can be skipped.
+    for blk in np.argsort(-amax, kind="stable").tolist():
+        i0 = blk * th
         h = min(th, rows - i0)
         col = av[i0 : i0 + h, None]
         top = min(limit, i0 + h + len(b) - 2)
-        for k0 in range(i0, top + 1, tw):
+        ua = int(amax[blk])
+        lows = np.minimum.reduceat(out[i0 : top + 1], offs[: (top - i0) // tw + 1])
+        for k0, ub, low in zip(range(i0, top + 1, tw), bmax, lows.tolist()):
+            if ua + ub <= low:
+                continue
             w = min(tw, top + 1 - k0)
             t, m, seg = tile[:h, :w], best[:w], out[k0 : k0 + w]
             np.add(wins[:h, k0 - i0 : k0 - i0 + w], col, out=t)

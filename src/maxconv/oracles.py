@@ -65,19 +65,18 @@ class ValueProfile:
 
     def __post_init__(self):
         b = self.best
+        # Any other iterable (a generator, say) would be spent by the checks.
+        if not isinstance(b, (tuple, list)):
+            b = tuple(b)
+            object.__setattr__(self, "best", b)
         if not b:
             raise ValueError("profiles must cover at least capacity 0")
-        # A list or tuple of plain ints, non-negative and sorted, passes at C
-        # speed; anything else takes the loop below, which names the fault.
-        if (
-            isinstance(b, (tuple, list))
-            and set(map(type, b)) == {int}
-            and b[0] >= 0
-            and all(map(le, b, b[1:]))
-        ):
+        # Plain ints, non-negative and sorted, pass at C speed; anything else
+        # takes the loop below, which names the fault.
+        if set(map(type, b)) == {int} and b[0] >= 0 and all(map(le, b, b[1:])):
             return
         prev = None
-        for v in self.best:
+        for v in b:
             _check_int(v, "profile entry")
             if prev is not None and v < prev:
                 raise ValueError("profile entries must be non-decreasing")

@@ -189,6 +189,130 @@ def test_kernels_at_every_limit_seed1009(tiles):
                 assert maxconv_values(a, b, limit, kernel) == want, (la, lb, limit, kernel)
 
 
+LANES = pytest.mark.parametrize("lane", [np.int32, np.int64], ids=["int32", "int64"])
+
+
+def _in_lane(values: list, lane) -> list:
+    """values, scaled so that a tiled call with span >= 1 runs in ``lane``."""
+    return values if lane is np.int32 else [v << 33 for v in values]
+
+
+def _profile(rng: random.Random, n: int, step: int) -> list:
+    """Non-decreasing from 0: flat runs broken by jumps of up to ``step``."""
+    out = [0]
+    for _ in range(n - 1):
+        out.append(out[-1] + (rng.randint(1, step) if rng.random() < 0.5 else 0))
+    return out
+
+
+class _CountingNumpy:
+    """numpy, counting np.add calls: the tiled kernel makes one per tile it
+    does not skip."""
+
+    def __init__(self):
+        self.adds = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, *args, **kwargs):
+        self.adds += 1
+        return np.add(*args, **kwargs)
+
+
+def _tile_count(la: int, lb: int, limit: int) -> int:
+    """Tiles the kernel visits for operands of lengths la <= lb."""
+    th = core._TILE_ROWS
+    rows, tw = min(la, limit + 1), min(core._TILE_COLS, limit + 1)
+    tops = (min(limit, i0 + min(th, rows - i0) + lb - 2) for i0 in range(0, rows, th))
+    return sum((top - i0) // tw + 1 for i0, top in zip(range(0, rows, th), tops))
+
+
+def _tiles_run(monkeypatch, a: list, b: list, limit: int | None = None) -> tuple[int, int]:
+    """(tiles added, tiles visited) by the default kernel on a, b, whose
+    answer is checked against brute force."""
+    counting = _CountingNumpy()
+    monkeypatch.setattr(core, "np", counting)
+    assert maxconv_values(a, b, limit) == brute_maxconv(a, b, limit)
+    la, lb = sorted((len(a), len(b)))
+    return counting.adds, _tile_count(la, lb, la + lb - 2 if limit is None else limit)
+
+
+@LANES
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_tile_bound_sees_the_largest_b_at_either_window_end(end, lane, tiles, lanes):
+    # Column tile m reads b[m*tw - th + 1 : (m+1)*tw].  With a constant and
+    # b zero but for one spike at an end of that window, the spike's sum is
+    # computed in that tile alone, after other blocks have filled its
+    # outputs: a bound that missed the spike would skip the tile.
+    th, tw = core._TILE_ROWS, core._TILE_COLS
+    la, lb = max(3 * th + 2, 40), max(3 * tw + 5, 100)
+    for m in (1, 2):
+        j = m * tw - th + 1 if end == "first" else (m + 1) * tw - 1
+        b = [0] * lb
+        b[j] = 5
+        a, b = _in_lane([3] * la, lane), _in_lane(b, lane)
+        want = brute_maxconv(a, b)
+        assert maxconv_values(a, b) == maxconv_values(b, a) == want, (m, j)
+    assert lanes == [lane] * 4
+
+
+@LANES
+def test_tile_bounds_that_tie_the_outputs_seed1011(lane, tiles, lanes):
+    # a constant, b zero but for spikes of 1: every tile's bound equals the
+    # least output it folds into, or exceeds it by 1 where it holds a spike.
+    # For int64, one far-low b[0] widens the span and keeps the ties.
+    rng = random.Random(1011)
+    th, tw = core._TILE_ROWS, core._TILE_COLS
+    la, lb = max(3 * th + 2, 40), max(3 * tw + 5, 100)
+    a = [-2] * la
+    for spikes in (1, 3, 10):
+        b = [0 if lane is np.int32 else -(2**40)] + [0] * (lb - 1)
+        for j in rng.sample(range(1, lb), spikes):
+            b[j] = 1
+        want = brute_maxconv(a, b)
+        assert maxconv_values(a, b) == want, spikes
+        for limit in (lb - 1, la + 2 * tw + 20):
+            assert maxconv_values(b, a, limit) == want[: limit + 1], (spikes, limit)
+    assert lanes == [lane] * 9
+    # Constant operands: every bound after the first block ties exactly.
+    assert maxconv_values([7] * la, [-4] * lb) == [3] * (la + lb - 1)
+
+
+@LANES
+def test_uniform_by_profile_skips_nearly_every_tile_seed1012(lane, tiles, monkeypatch):
+    # b rises slowly next to a's spread: once the blocks with the largest
+    # a values have run, every other block's bound is below its outputs.
+    rng = random.Random(1012)
+    la, lb = max(16 * core._TILE_ROWS, 60), max(2 * core._TILE_COLS + 100, 200)
+    a = _in_lane(rand_seq(rng, la, 10**6), lane)
+    b = _in_lane(_profile(rng, lb, 2), lane)
+    added, visited = _tiles_run(monkeypatch, a, b)
+    assert added <= visited // 5, (added, visited)
+
+
+@LANES
+def test_profile_by_profile_skips_almost_no_tile(lane, tiles, monkeypatch):
+    # On linear profiles every split of k ties, so a tile's bound exceeds
+    # the least output it folds into unless the tile is one column wide.
+    la, lb = max(16 * core._TILE_ROWS, 60), max(2 * core._TILE_COLS + 100, 200)
+    a, b = _in_lane(list(range(la)), lane), _in_lane(list(range(lb)), lane)
+    added, visited = _tiles_run(monkeypatch, a, b)
+    assert added >= visited * 9 // 10, (added, visited)
+
+
+@LANES
+def test_truncated_profiles_that_level_off_skip_the_later_blocks(lane, tiles, monkeypatch):
+    # Both profiles level off early.  The first block with the top value
+    # runs first and lifts every output it covers to the top sum, so the
+    # later blocks, whose bounds equal that sum, are skipped.
+    la = max(16 * core._TILE_ROWS, 60)
+    a = _in_lane([min(i, 3) for i in range(la)], lane)
+    b = _in_lane([min(2 * j, 9) for j in range(la + 5)], lane)
+    added, visited = _tiles_run(monkeypatch, a, b, la - 1)
+    assert added <= visited // 5, (added, visited)
+
+
 def test_conv_output_is_not_held_to_the_input_headroom_rule():
     # Outputs hold twice the largest |v| the retired rule took at n = 2.
     w = WORD_MAX // 800

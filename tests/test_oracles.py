@@ -279,3 +279,30 @@ def test_profile_check_matches_the_reference_loop(name):
     make = PROFILE_INPUTS[name]
     want = _profile_outcome(_reference_profile_check, make())
     assert _profile_outcome(lambda b: ValueProfile(b).best, make()) == want
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (v for v in [0, 1, 2]),
+        lambda: iter([0, 1, 2]),
+        lambda: range(3),
+        lambda: map(int, "012"),
+    ],
+    ids=["generator", "iterator", "range", "map"],
+)
+def test_profile_from_any_iterable_keeps_its_entries(make):
+    p = ValueProfile(make())
+    assert p.best == (0, 1, 2)
+    assert list(p) == [0, 1, 2]
+    assert p.capacity == 2
+    assert p == ValueProfile((0, 1, 2))
+
+
+def test_profile_from_an_iterable_gets_the_same_checks():
+    with pytest.raises(ValueError, match="at least capacity 0"):
+        ValueProfile(v for v in [])
+    with pytest.raises(ValueError, match="non-decreasing"):
+        ValueProfile(v for v in [0, 5, 4])
+    with pytest.raises(ValueError, match="must be an integer"):
+        ValueProfile(v for v in [0, 1.0])
