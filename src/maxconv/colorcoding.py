@@ -8,8 +8,13 @@ item) are folded together.  A part profile is a step function and the
 profile it joins is non-decreasing, so that join is the maximum of a few
 shifted copies, one per jump of the step function: O(t) numpy work per
 jump instead of a quadratic kernel call.  Layer merges and the final
-accumulation are general truncated max-plus convolutions on the default
-kernel.  Error is one-sided: every profile entry produced anywhere is
+accumulation are truncated max-plus convolutions on the default kernel;
+both of their operands are non-decreasing profiles, usually with few
+distinct values, so the kernel folds them on its run path, one shifted
+copy per run of equal values, instead of enumerating every cell.  Trial
+profiles are int64 arrays when the positive item values sum to at most
+2^63 - 1 and Python ints otherwise, so every profile is exact at every
+magnitude.  Error is one-sided: every profile entry produced anywhere is
 achievable by a real subset of items, so results never exceed the exact
 optimum.  For the same reason a trial that puts every item in a part of its
 own is final: its profile is the exact optimum, so color coding stops there
@@ -88,8 +93,8 @@ def _part_steps(part: list[tuple[int, int]], limit: int) -> list[tuple[int, int]
 
 
 def _join_part(cur: np.ndarray, part: list[tuple[int, int]]) -> np.ndarray:
-    """(max,+) join of a non-decreasing int64 profile with the part profile,
-    truncated at len(cur) - 1.
+    """(max,+) join of a non-decreasing profile with the part profile,
+    truncated at len(cur) - 1, in cur's dtype (see _profile_dtype).
 
     Because cur is non-decreasing, the best split inside a constant stretch
     of the part profile takes its lightest point, so the join is cur
@@ -97,18 +102,20 @@ def _join_part(cur: np.ndarray, part: list[tuple[int, int]]) -> np.ndarray:
     """
     limit = len(cur) - 1
     steps = _part_steps(part, limit)
-    top = steps[-1][1] if steps else 0
-    # Profiles are int64 arrays, so a join whose largest sum (cur[-1] is
-    # cur's maximum) passes 2^63 - 1 would wrap: it raises before any int64
-    # arithmetic.  This is the package's only OverflowError.
-    if int(cur[-1]) + top > WORD_MAX:
-        raise OverflowError("convolution sums leave the 64-bit word")
     out = cur.copy()
     buf = np.empty_like(cur)
     for w, v in steps:
         shifted = np.add(cur[: limit + 1 - w], v, out=buf[: limit + 1 - w])
         np.maximum(out[w:], shifted, out=out[w:])
     return out
+
+
+def _profile_dtype(items: list[tuple[int, int]]):
+    """int64 when the positive item values sum to at most 2^63 - 1, else
+    object (Python ints).  Every profile entry is 0 or the value of a set
+    of distinct items, so that sum bounds every entry and every join sum:
+    an int64 profile never wraps, and larger ones stay exact."""
+    return np.int64 if sum(v for _, v in items if v > 0) <= WORD_MAX else object
 
 
 def part_profile(part: Iterable[tuple[int, int]], limit: int) -> ValueProfile:
@@ -149,7 +156,8 @@ def color_coding(
     trials = max(1, math.ceil(math.log(1 / delta) / math.log(4 / 3)))
     parts_total = k * k
     root = _seedseq(rng)
-    best = np.zeros(t + 1, dtype=np.int64)
+    dtype = _profile_dtype(zs)
+    best = np.zeros(t + 1, dtype=dtype)
     for _ in range(trials):
         (trial_seq,) = root.spawn(1)
         gen = np.random.Generator(np.random.PCG64(trial_seq))
@@ -157,7 +165,7 @@ def color_coding(
         if zs:
             for item, part in zip(zs, gen.integers(0, parts_total, size=len(zs))):
                 buckets.setdefault(int(part), []).append(item)
-        cur = np.zeros(t + 1, dtype=np.int64)
+        cur = np.zeros(t + 1, dtype=dtype)
         for part_idx in sorted(buckets):
             cur = _join_part(cur, buckets[part_idx])
         np.maximum(best, cur, out=best)

@@ -28,7 +28,8 @@ from helpers import rand_items
 PROFILE_DIGEST = "f21a59d6b5076d9d2ade8cc842ef863844d70b693578fff78ff26feaddc187a8"
 
 # (items, t, color_coding's profile when every join ran on the dense kernel,
-# None where that raised OverflowError for every seed below)
+# None where that raised OverflowError for every seed below).  Their sums
+# pass 2^63 - 1; every route now answers them exactly.
 HUGE = [
     ([(1, 2**62 + 5), (2, 2**62 + 5)], 3, None),
     ([(1, 2**63 + 5)], 3, [0] + [2**63 + 5] * 3),
@@ -209,15 +210,14 @@ def test_join_part_matches_dense_join_seed5007():
 
 @pytest.mark.parametrize("items, t, dense", HUGE)
 def test_overflow_raises_where_the_dense_join_did(items, t, dense):
+    # Where the dense join raised or answered, both solvers now give the
+    # exact 0/1 optimum past the word: never a wrapped entry, never an error.
+    exact = list(knapsack01_dp(KnapsackInstance(tuple(items), t)))
+    assert max(exact) > 2**63 - 1
+    assert dense is None or dense == exact
     for seed in range(6):
-        with pytest.raises(OverflowError):
-            knapsack_rand(items, t, 0.25, seed)
-        try:
-            prof = color_coding(items, t, 2, 0.25, seed)
-        except OverflowError:
-            continue
-        # never a wrapped or float entry: the exact profile or nothing
-        assert dense is not None and list(prof) == dense
+        assert list(knapsack_rand(items, t, 0.25, seed)) == exact
+        assert list(color_coding(items, t, 2, 0.25, seed)) == exact
 
 
 def test_sums_at_the_word_limit_stay_exact():
@@ -230,17 +230,18 @@ def test_sums_at_the_word_limit_stay_exact():
 
 def _color_coding_every_trial(items, t, k, delta, seed):
     """color_coding as it was before the early stop: every trial runs, on
-    children spawned all at once.  The reference for the early stop."""
+    children spawned all at once, with profiles of Python ints, exact at
+    every magnitude.  The reference for the early stop."""
     zs = [(int(w), int(v)) for w, v in items]
     trials = max(1, math.ceil(math.log(1 / delta) / math.log(4 / 3)))
-    best = np.zeros(t + 1, dtype=np.int64)
+    best = np.zeros(t + 1, dtype=object)
     for trial_seq in np.random.SeedSequence(seed).spawn(trials):
         gen = np.random.Generator(np.random.PCG64(trial_seq))
         buckets = {}
         if zs:
             for item, part in zip(zs, gen.integers(0, k * k, size=len(zs))):
                 buckets.setdefault(int(part), []).append(item)
-        cur = np.zeros(t + 1, dtype=np.int64)
+        cur = np.zeros(t + 1, dtype=object)
         for part_idx in sorted(buckets):
             cur = _join_part(cur, buckets[part_idx])
         np.maximum(best, cur, out=best)
@@ -297,31 +298,23 @@ def test_early_stop_matches_every_trial_seed5008(k, monkeypatch):
 
 
 def test_early_stop_answers_exactly_where_a_later_trial_overflowed_seed5009():
-    # Values near 2^62: a collision-free trial may pass the join guard in
-    # one part order and a later trial fail it in another.  The early stop
-    # then never runs the later trial; its answer must be the exact one.
+    # Values near 2^62: some trials' sums pass the word and others' do not,
+    # and the early stop may skip the later ones.  Its answer is every
+    # trial's, never exceeds the 0/1 optimum, and is that optimum, past the
+    # word too, where the first trial puts every item in a part of its own.
     rng = random.Random(5009)
     big = [1, 2**61, 2**62 - 3, 2**62, 2**62 + 1, 2**62 - 1]
-    answered = 0
+    past_the_word = 0
     for _ in range(1500):
         t = rng.randint(1, 5)
         k = rng.choice([1, 2, 3])
         items = [(rng.randint(0, t + 1), rng.choice(big)) for _ in range(rng.randint(2, 4))]
         seed = rng.randrange(1000)
-        try:
-            want = _color_coding_every_trial(items, t, k, 0.25, seed)
-        except OverflowError:
-            want = None
-        try:
-            got = list(color_coding(items, t, k, 0.25, seed))
-        except OverflowError:
-            # the early stop runs a prefix of the trials, so it raises
-            # only where every trial ran
-            assert want is None
-            continue
-        if want is None:
-            assert got == list(knapsack01_dp(KnapsackInstance(tuple(items), t)))
-            answered += 1
-        else:
-            assert got == want
-    assert answered > 0
+        got = list(color_coding(items, t, k, 0.25, seed))
+        assert got == _color_coding_every_trial(items, t, k, 0.25, seed)
+        exact = list(knapsack01_dp(KnapsackInstance(tuple(items), t)))
+        assert all(g <= e for g, e in zip(got, exact))
+        if _first_trial_is_collision_free(len(items), k, seed):
+            assert got == exact, (items, t, k, seed)
+            past_the_word += max(exact) > 2**63 - 1
+    assert past_the_word > 0

@@ -228,14 +228,20 @@ def _tile_count(la: int, lb: int, limit: int) -> int:
     return sum((top - i0) // tw + 1 for i0, top in zip(range(0, rows, th), tops))
 
 
-def _tiles_run(monkeypatch, a: list, b: list, limit: int | None = None) -> tuple[int, int]:
-    """(tiles added, tiles visited) by the default kernel on a, b, whose
-    answer is checked against brute force."""
+def _tiles_run(monkeypatch, a: list, b: list, lane, limit: int | None = None) -> tuple[int, int]:
+    """(tiles added, tiles visited) by the tiled path on a, b in ``lane``.
+    Its answer and the default kernel's, which may take the run path
+    instead, are checked against brute force."""
+    want = brute_maxconv(a, b, limit)
+    assert maxconv_values(a, b, limit) == want
+    if len(a) > len(b):
+        a, b = b, a
+    hi = len(a) + len(b) - 2 if limit is None else limit
     counting = _CountingNumpy()
     monkeypatch.setattr(core, "np", counting)
-    assert maxconv_values(a, b, limit) == brute_maxconv(a, b, limit)
-    la, lb = sorted((len(a), len(b)))
-    return counting.adds, _tile_count(la, lb, la + lb - 2 if limit is None else limit)
+    out = core._tiled_maxconv(a, (min(a), max(a)), b, (min(b), max(b)), hi, lane)
+    assert [v + min(a) + min(b) for v in out.tolist()] == want
+    return counting.adds, _tile_count(len(a), len(b), hi)
 
 
 @LANES
@@ -287,7 +293,7 @@ def test_uniform_by_profile_skips_nearly_every_tile_seed1012(lane, tiles, monkey
     la, lb = max(16 * core._TILE_ROWS, 60), max(2 * core._TILE_COLS + 100, 200)
     a = _in_lane(rand_seq(rng, la, 10**6), lane)
     b = _in_lane(_profile(rng, lb, 2), lane)
-    added, visited = _tiles_run(monkeypatch, a, b)
+    added, visited = _tiles_run(monkeypatch, a, b, lane)
     assert added <= visited // 5, (added, visited)
 
 
@@ -297,7 +303,7 @@ def test_profile_by_profile_skips_almost_no_tile(lane, tiles, monkeypatch):
     # the least output it folds into unless the tile is one column wide.
     la, lb = max(16 * core._TILE_ROWS, 60), max(2 * core._TILE_COLS + 100, 200)
     a, b = _in_lane(list(range(la)), lane), _in_lane(list(range(lb)), lane)
-    added, visited = _tiles_run(monkeypatch, a, b)
+    added, visited = _tiles_run(monkeypatch, a, b, lane)
     assert added >= visited * 9 // 10, (added, visited)
 
 
@@ -309,8 +315,145 @@ def test_truncated_profiles_that_level_off_skip_the_later_blocks(lane, tiles, mo
     la = max(16 * core._TILE_ROWS, 60)
     a = _in_lane([min(i, 3) for i in range(la)], lane)
     b = _in_lane([min(2 * j, 9) for j in range(la + 5)], lane)
-    added, visited = _tiles_run(monkeypatch, a, b, la - 1)
+    added, visited = _tiles_run(monkeypatch, a, b, lane, la - 1)
     assert added <= visited // 5, (added, visited)
+
+
+def _steps(rng: random.Random, n: int, runs: int, lo: int, hi: int) -> list:
+    """Non-decreasing, n entries in exactly ``runs`` runs of equal values,
+    from lo up to hi (both taken when runs > 1)."""
+    starts = [0] + sorted(rng.sample(range(1, n), runs - 1))
+    heads = [lo] if runs == 1 else sorted([lo, hi, *rng.sample(range(lo + 1, hi), runs - 2)])
+    ends = starts[1:] + [n]
+    return [v for s, e, v in zip(starts, ends, heads) for _ in range(e - s)]
+
+
+def _run_cases():
+    """name -> (a, b, limits): non-decreasing pairs that take the run path
+    at every limit listed (None is the full product)."""
+    rng = random.Random(1013)
+    edge = WORD_MAX // 2
+    return {
+        # the shorter operand is shorter than limit + 1, so long runs of the
+        # other reach outputs past its end: the clipped candidate x[-1] + v
+        "clipped, long runs": (
+            _steps(rng, 40, 9, 0, 500), _steps(rng, 300, 3, 0, 50), (None, 250, 60)
+        ),
+        "clipped, short runs": (
+            _steps(rng, 64, 2, -7, 7), _steps(rng, 90, 30, 0, 900), (None, 100, 64)
+        ),
+        "truncated": (_steps(rng, 200, 5, 0, 99), _steps(rng, 230, 11, 3, 70), (20, 150, 199)),
+        "constant": ([7] * 100, [-3] * 90, (None, 30, 120)),
+        "single run by rising": ([4] * 70, _steps(rng, 80, 40, 0, 10**6), (None, 69, 100)),
+        "runs at both ends": (
+            [0] + [5] * 60 + [9], [-2] + [1] * 70 + [3], (None, 60, 61, 62, 100)
+        ),
+        "negative": (
+            _steps(rng, 120, 6, -(10**9), -5), _steps(rng, 100, 4, -300, -200), (None, 99, 150)
+        ),
+        # sums reach both ends of the word: 2 * (-2^62) and 2 * edge + 1
+        "word edge, top": (
+            _steps(rng, 100, 4, edge - 90, edge), _steps(rng, 100, 5, edge - 50, edge + 1),
+            (None, 99),
+        ),
+        "word edge, bottom": (
+            _steps(rng, 100, 4, -edge - 1, 0), _steps(rng, 100, 3, -edge - 1, -edge + 9),
+            (None, 99),
+        ),
+    }
+
+
+RUN_CASES = _run_cases()
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """The (x, y) of every call that takes the run path."""
+    seen = []
+    fold = core._run_maxconv
+
+    def record(x, y, starts, limit):
+        seen.append((x, y))
+        return fold(x, y, starts, limit)
+
+    monkeypatch.setattr(core, "_run_maxconv", record)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_run_path_matches_brute_force(name, run_calls, lanes):
+    a, b, limits = RUN_CASES[name]
+    for limit in limits:
+        want = brute_maxconv(a, b, limit)
+        assert maxconv_values(a, b, limit) == want, limit
+        assert maxconv_values(b, a, limit) == want, limit
+        assert maxconv_values(a, b, limit, "python") == want, limit
+    assert len(run_calls) == 2 * len(limits)
+    assert lanes == []
+
+
+def test_run_path_at_the_run_cap(run_calls, lanes):
+    # y may have an eighth as many runs as the shorter operand has entries
+    # up to the limit: 80 entries allow 10 runs, not 11.
+    rng = random.Random(1014)
+    for runs, path in ((10, 1), (11, 0)):
+        a, b = _steps(rng, 80, runs, 0, 99), _steps(rng, 200, 60, 0, 999)
+        for limit in (None, 79):
+            assert maxconv_values(a, b, limit) == brute_maxconv(a, b, limit)
+        assert (len(run_calls), len(lanes)) == (2 * path, 2 * (1 - path)), runs
+        run_calls.clear()
+        lanes.clear()
+    # With the limit below the shorter length, the cap follows the limit:
+    # 5 runs up to index 36 are too many for 37 entries, though not for 200,
+    # and 5 runs up to index 44 are few enough for 45.
+    a = [i // 9 for i in range(200)]
+    assert maxconv_values(a, a, 36) == brute_maxconv(a, a, 36)
+    assert (len(run_calls), len(lanes)) == (0, 1)
+    assert maxconv_values(a, a, 44) == brute_maxconv(a, a, 44)
+    assert (len(run_calls), len(lanes)) == (1, 1)
+
+
+def test_run_path_reads_only_the_entries_up_to_the_limit(run_calls, lanes):
+    # A descent or a jump past the limit changes no output: the path holds.
+    rng = random.Random(1015)
+    a, b = _steps(rng, 100, 4, 0, 50), _steps(rng, 150, 6, 10, 80)
+    a[90:] = [-(10**6)] * 10
+    b[120:] = list(range(10**6, 10**6 + 30))
+    assert maxconv_values(a, b, 89) == brute_maxconv(a, b, 89)
+    assert len(run_calls) == 1 and lanes == []
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "far below"])
+def test_one_descent_sends_the_call_to_the_tiles(where, run_calls, lanes):
+    # A drop of 1 may fall between the kernel's sampled entries, so only its
+    # scan of the runs finds it; a drop below b[0] shows in any sample.
+    rng = random.Random(1016)
+    a, b = _steps(rng, 100, 3, 0, 50), _steps(rng, 150, 4, 10, 80)
+    j = {"first": 1, "middle": 75, "last": 149, "far below": 70}[where]
+    b[j] = b[0] - 1 if where == "far below" else b[j - 1] - 1
+    for x, y in ((a, b), (b, a)):
+        assert maxconv_values(x, y) == brute_maxconv(x, y)
+    assert run_calls == [] and lanes == [np.int32] * 2
+
+
+def test_a_drop_in_the_many_run_operand_sends_the_call_to_the_tiles(run_calls, lanes):
+    # y has few runs; x has too many to check run by run, so the kernel
+    # scans it whole and finds the drop of 1 between its sampled entries.
+    rng = random.Random(1018)
+    a, b = _steps(rng, 100, 3, 0, 50), list(range(150))
+    b[75] = 73
+    for x, y in ((a, b), (b, a)):
+        assert maxconv_values(x, y) == brute_maxconv(x, y)
+    assert run_calls == [] and lanes == [np.int32] * 2
+
+
+def test_many_run_profiles_send_the_call_to_the_tiles(run_calls, lanes):
+    # conv-large's profile x profile shape: about one run per two entries.
+    rng = random.Random(1017)
+    a, b = _profile(rng, 300, 9), _profile(rng, 400, 9)
+    for limit in (None, 299):
+        assert maxconv_values(a, b, limit) == brute_maxconv(a, b, limit)
+    assert run_calls == [] and lanes == [np.int32] * 2
 
 
 def test_conv_output_is_not_held_to_the_input_headroom_rule():
