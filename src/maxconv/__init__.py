@@ -10,13 +10,11 @@ from .colorcoding import (
     color_coding,
     color_coding_layer,
     knapsack_rand,
-    part_profile,
 )
 from .core import (
     DEFAULT_KERNEL,
     KERNELS,
     Decision,
-    MaxConvInstance,
     Sequence,
     check_lower_bound,
     check_upper_bound,
@@ -62,7 +60,6 @@ __all__ = [
     "Decision",
     "KERNELS",
     "KnapsackInstance",
-    "MaxConvInstance",
     "NecklaceInstance",
     "ReductionOutcome",
     "Sequence",
@@ -85,7 +82,6 @@ __all__ = [
     "min_conv",
     "necklace_linf_brute",
     "normalize_nonneg_monotone",
-    "part_profile",
     "reduce_lowerbound_to_necklace",
     "reduce_mcsp_to_maxconv",
     "reduce_superadditivity_to_mcsp",

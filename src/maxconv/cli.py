@@ -144,9 +144,7 @@ METHODS = {
     "mcsp": {
         "brute": lambda o, p: {"sums": mcsp_brute(*o)},
         "via-maxconv": lambda o, p: {
-            "sums": list(
-                _route(reduce_mcsp_to_maxconv(*o), lambda i: max_conv(i.a, i.b, i.limit))
-            )
+            "sums": list(_route(reduce_mcsp_to_maxconv(*o), lambda i: max_conv(*i)))
         },
     },
     "treesparsity": {

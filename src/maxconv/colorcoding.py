@@ -57,24 +57,8 @@ def _clean_items(items: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     out = []
     for item in items:
         w, v = item
-        _check_int(w, "item weight")
-        _check_int(v, "item value")
-        out.append((int(w), int(v)))
+        out.append((_check_int(w, "item weight"), _check_int(v, "item value")))
     return out
-
-
-def _part_best(part: list[tuple[int, int]], limit: int) -> list[int]:
-    best = [0] * (limit + 1)
-    for w, v in part:
-        if w <= limit and v > best[w]:
-            best[w] = v
-    run = 0
-    for i in range(limit + 1):
-        if best[i] > run:
-            run = best[i]
-        else:
-            best[i] = run
-    return best
 
 
 def _part_steps(part: list[tuple[int, int]], limit: int) -> list[tuple[int, int]]:
@@ -118,12 +102,6 @@ def _profile_dtype(items: list[tuple[int, int]]):
     return np.int64 if sum(v for _, v in items if v > 0) <= WORD_MAX else object
 
 
-def part_profile(part: Iterable[tuple[int, int]], limit: int) -> ValueProfile:
-    """Profile of choosing at most one item from the part."""
-    _check_int(limit, "limit")
-    return ValueProfile(tuple(_part_best(_clean_items(part), limit)))
-
-
 def color_coding(
     items: Iterable[tuple[int, int]],
     t: int,
@@ -149,8 +127,8 @@ def color_coding(
     with one spawned child per trial run.
     """
     zs = _clean_items(items)
-    _check_int(t, "capacity")
-    _check_int(k, "solution size bound", minimum=1)
+    t = _check_int(t, "capacity")
+    k = _check_int(k, "solution size bound", minimum=1)
     if not isinstance(delta, (int, float)) or not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     trials = max(1, math.ceil(math.log(1 / delta) / math.log(4 / 3)))
@@ -191,8 +169,8 @@ def color_coding_layer(
     truncated at 2^h * 2*gamma*t/l per level (rounded up, capped at t).
     """
     zs = _clean_items(items)
-    _check_int(t, "capacity")
-    _check_int(l, "layer budget", minimum=1)
+    t = _check_int(t, "capacity")
+    l = _check_int(l, "layer budget", minimum=1)
     _validate_delta(delta)
     for w, _ in zs:
         if w * l > 2 * t:
@@ -245,7 +223,7 @@ def knapsack_rand(
     joined at capacity t.  Never exceeds the exact optimum; each entry
     matches it with probability at least 1 - delta.
     """
-    _check_int(t, "capacity")
+    t = _check_int(t, "capacity")
     _validate_delta(delta)
     root = _seedseq(rng)
     zs = [(w, v) for w, v in _clean_items(items) if w <= t]

@@ -113,15 +113,6 @@ def as_values(seq: SequenceLike) -> list[int]:
     return list(Sequence(seq).values)
 
 
-@dataclass(frozen=True)
-class MaxConvInstance:
-    """A convolution request: two operands plus an optional output cutoff."""
-
-    a: Sequence
-    b: Sequence
-    limit: int | None = None
-
-
 # ---------------------------------------------------------------------------
 # kernels
 

@@ -10,14 +10,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le
 
+import numpy as np
+
 from .core import Decision, SequenceLike, as_values
 
 KNAPSACK_MODES = ("zero_one", "unbounded")
 
 
 def _check_int(v, what: str, minimum: int = 0) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
+    """``v`` as a Python int.  Ints and numpy integers pass; bool, np.bool_
+    and every other type raise ValueError, as do values below ``minimum``."""
+    if type(v) is not int:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} must be an integer, got {v!r}")
+        v = int(v)
     if v < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {v}")
     return v
@@ -38,14 +44,14 @@ class KnapsackInstance:
     def __post_init__(self):
         if self.mode not in KNAPSACK_MODES:
             raise ValueError(f"mode must be one of {KNAPSACK_MODES}, got {self.mode!r}")
-        _check_int(self.capacity, "capacity")
+        t = _check_int(self.capacity, "capacity")
         kept = []
         for item in self.items:
             w, v = item
-            _check_int(w, "item weight")
-            _check_int(v, "item value")
-            if w <= self.capacity:
-                kept.append((int(w), int(v)))
+            w, v = _check_int(w, "item weight"), _check_int(v, "item value")
+            if w <= t:
+                kept.append((w, v))
+        object.__setattr__(self, "capacity", t)
         object.__setattr__(self, "items", tuple(kept))
 
     @property
@@ -75,12 +81,13 @@ class ValueProfile:
         # takes the loop below, which names the fault.
         if set(map(type, b)) == {int} and b[0] >= 0 and all(map(le, b, b[1:])):
             return
-        prev = None
+        vals: list[int] = []
         for v in b:
-            _check_int(v, "profile entry")
-            if prev is not None and v < prev:
+            v = _check_int(v, "profile entry")
+            if vals and v < vals[-1]:
                 raise ValueError("profile entries must be non-decreasing")
-            prev = v
+            vals.append(v)
+        object.__setattr__(self, "best", vals if isinstance(b, list) else tuple(vals))
 
     @property
     def capacity(self) -> int:
@@ -185,17 +192,11 @@ class WeightedTree:
                 continue
             if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < n or p == i:
                 raise ValueError(f"bad parent link {p!r} at node {i}")
-        for w in self.weight:
-            _check_int(w, "node weight")
+        object.__setattr__(
+            self, "weight", tuple(_check_int(w, "node weight") for w in self.weight)
+        )
         # Reachability from the root doubles as the acyclicity check.
-        kids = self.children()
-        seen = 0
-        stack = [roots[0]]
-        while stack:
-            v = stack.pop()
-            seen += 1
-            stack.extend(kids[v])
-        if seen != n:
+        if len(self.preorder()) != n:
             raise ValueError("parent array contains a cycle or a disconnected node")
 
     @property
@@ -212,6 +213,20 @@ class WeightedTree:
             if p != -1:
                 kids[p].append(i)
         return kids
+
+    def preorder(self, kids: list[list[int]] | None = None) -> list[int]:
+        """Nodes reachable from the root, each before its children, so the
+        reversed list folds a tree bottom-up.  ``kids`` is ``children()``,
+        passed in by callers that already hold it."""
+        if kids is None:
+            kids = self.children()
+        order = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(kids[v])
+        return order
 
 
 def _merge_exact(h: list[int], f: list[int]) -> list[int]:
@@ -236,14 +251,8 @@ def tree_sparsity_dp(tree: WeightedTree, k: int) -> tuple[int, list[int]]:
     if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k!r}")
     kids = tree.children()
-    order = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(kids[v])
     vec: list[list[int] | None] = [None] * n
-    for v in reversed(order):
+    for v in reversed(tree.preorder(kids)):
         h = [0]
         for c in kids[v]:
             h = _merge_exact(h, vec[c])  # type: ignore[arg-type]
@@ -269,18 +278,20 @@ class NecklaceInstance:
     circle_length: int
 
     def __post_init__(self):
-        _check_int(self.circle_length, "circle length", minimum=1)
+        length = _check_int(self.circle_length, "circle length", minimum=1)
+        object.__setattr__(self, "circle_length", length)
         if len(self.x) == 0 or len(self.x) != len(self.y):
             raise ValueError("bead lists must be non-empty and of equal size")
-        for beads in (self.x, self.y):
-            prev = None
-            for p in beads:
-                _check_int(p, "bead position")
-                if p > self.circle_length:
+        for name in ("x", "y"):
+            beads: list[int] = []
+            for p in getattr(self, name):
+                p = _check_int(p, "bead position")
+                if p > length:
                     raise ValueError("bead position outside the circle")
-                if prev is not None and p < prev:
+                if beads and p < beads[-1]:
                     raise ValueError("bead positions must be sorted")
-                prev = p
+                beads.append(p)
+            object.__setattr__(self, name, tuple(beads))
 
     @property
     def n_beads(self) -> int:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
-    MaxConvInstance,
     Sequence,
     SequenceLike,
     _require_equal_lengths,
@@ -187,7 +186,8 @@ def reduce_upperbound_to_superadditivity(
 def reduce_mcsp_to_maxconv(a: SequenceLike) -> ReductionOutcome:
     """Window sums of every length drop out of one convolution of prefix sums
     against negated reversed prefix sums; a -D filler (D twice any partial
-    sum) keeps the padding from ever winning a maximum.
+    sum) keeps the padding from ever winning a maximum.  The one target
+    instance is the tuple ``(b, c, limit)`` of ``max_conv``'s arguments.
     """
     av = as_values(a)
     n = len(av)
@@ -197,7 +197,7 @@ def reduce_mcsp_to_maxconv(a: SequenceLike) -> ReductionOutcome:
     filler = -2 * (sum(abs(v) for v in av) + 1)
     b = [prefix[k + 1] for k in range(n)] + [filler] * n
     c = [-prefix[n - k] for k in range(n + 1)] + [filler] * (n - 1)
-    inst = MaxConvInstance(Sequence(b), Sequence(c), limit=2 * n - 1)
+    inst = (Sequence(b), Sequence(c), 2 * n - 1)
 
     def interpret(answers: list) -> list[int]:
         (conv,) = answers
@@ -250,20 +250,6 @@ def reduce_superadditivity_to_mcsp(a: SequenceLike) -> ReductionOutcome:
 # tree sparsity via max-plus convolution
 
 
-def _subtree_sizes(tree: WeightedTree, kids: list[list[int]]) -> list[int]:
-    sizes = [1] * tree.n
-    order = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(kids[v])
-    for v in reversed(order):
-        for c in kids[v]:
-            sizes[v] += sizes[c]
-    return sizes
-
-
 def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
     """Root sparsity vector computed through heavy-path decomposition.
 
@@ -273,7 +259,10 @@ def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
     children are heads of deeper spines, solved first.
     """
     kids = tree.children()
-    sizes = _subtree_sizes(tree, kids)
+    sizes = [1] * tree.n
+    for v in reversed(tree.preorder(kids)):
+        for c in kids[v]:
+            sizes[v] += sizes[c]
 
     # Spines in discovery order; heads hanging off a spine appear later,
     # so processing in reverse order resolves dependencies bottom-up.
@@ -313,22 +302,17 @@ def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
             u_left, y_left = solve(a, c)
             u_right, y_right = solve(c + 1, b)
             u = maxconv_values(u_left, u_right)
+            # Subtrees that stop above spine[c + 1] are y_left, over sizes
+            # 0..len(y_left) - 1.  Those that take all of spine[a..c] and
+            # go on are ``through``, over sizes taken..taken + len(through) - 1.
+            # Since len(y_left) - taken = len(u_left) <= len(through), y is
+            # y_left's head, then the overlap's maxima, then through's tail.
             spine_sum = sum(weights[a : c + 1])
             taken = c - a + 1
-            through = maxconv_values(u_left, y_right)
-            total = (len(u_left) - 1) + (len(y_right) - 1) + taken
-            y = []
-            for size in range(total + 1):
-                best = None
-                if size < len(y_left):
-                    best = y_left[size]
-                r = size - taken
-                if 0 <= r < len(through):
-                    cand = spine_sum + through[r]
-                    if best is None or cand > best:
-                        best = cand
-                assert best is not None
-                y.append(best)
+            through = [spine_sum + v for v in maxconv_values(u_left, y_right)]
+            cut = len(y_left) - taken
+            assert 0 <= cut <= len(through)
+            y = y_left[:taken] + list(map(max, y_left[taken:], through[:cut])) + through[cut:]
             return u, y
 
         _, head_vec = solve(0, ell - 1)
@@ -406,6 +390,12 @@ def _pre(x: int, k: int, width: int) -> int:
     return x >> (width - k)
 
 
+def _gate(vals: list[int], k: int, width: int, bit: int, miss: int) -> Sequence:
+    # The k-bit prefix of every value whose next bit is ``bit``; the
+    # sentinel ``miss`` everywhere else.
+    return Sequence([_pre(x, k, width) if _pre(x, k + 1, width) & 1 == bit else miss for x in vals])
+
+
 def reduce_upperbound_to_3sumconv(
     a: SequenceLike, b: SequenceLike, c: SequenceLike
 ) -> ReductionOutcome:
@@ -435,31 +425,9 @@ def reduce_upperbound_to_3sumconv(
         eq_b = Sequence([_pre(x, kp, width) for x in b1])
         eq_c = Sequence([_pre(x, kp, width) + 1 for x in c1])
         instances.append((eq_a, eq_b, eq_c))
-        gate_a = Sequence(
-            [
-                _pre(x, k, width)
-                if _pre(x, kp, width) == 2 * _pre(x, k, width) + 1
-                else -d
-                for x in a1
-            ]
+        instances.append(
+            (_gate(a1, k, width, 1, -d), _gate(b1, k, width, 1, -d), _gate(c1, k, width, 0, d))
         )
-        gate_b = Sequence(
-            [
-                _pre(x, k, width)
-                if _pre(x, kp, width) == 2 * _pre(x, k, width) + 1
-                else -d
-                for x in b1
-            ]
-        )
-        gate_c = Sequence(
-            [
-                _pre(x, k, width)
-                if _pre(x, kp, width) == 2 * _pre(x, k, width)
-                else d
-                for x in c1
-            ]
-        )
-        instances.append((gate_a, gate_b, gate_c))
 
     def interpret(answers: list) -> bool:
         return not any(bool(ans) for ans in answers)

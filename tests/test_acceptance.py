@@ -158,7 +158,7 @@ def test_criterion_5_mcsp_routes():
         a = rand_seq(rng, rng.randint(1, 64), 100)
         out = reduce_mcsp_to_maxconv(a)
         inst = out.instances[0]
-        conv = max_conv(inst.a, inst.b, inst.limit)
+        conv = max_conv(*inst)
         assert list(out.interpret([conv])) == mcsp_brute(a)
     for _ in range(500):
         a = rand_superadd_candidate(rng, rng.randint(1, 64), 60)

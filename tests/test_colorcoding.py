@@ -14,10 +14,9 @@ from maxconv import (
     color_coding_layer,
     knapsack01_dp,
     knapsack_rand,
-    part_profile,
 )
 from maxconv import colorcoding
-from maxconv.colorcoding import _join_part, _part_best
+from maxconv.colorcoding import _join_part
 from maxconv.core import maxconv_values
 
 from helpers import rand_items
@@ -52,12 +51,6 @@ def _golden_cases():
         t = rng.randint(150, 300)
         n = rng.randint(30, 60)
         yield t, [(rng.randint(0, t + 10), rng.randint(0, 1000)) for _ in range(n)]
-
-
-def test_part_profile_examples():
-    assert list(part_profile([], 3)) == [0, 0, 0, 0]
-    assert list(part_profile([(2, 3)], 3)) == [0, 0, 3, 3]
-    assert list(part_profile([(1, 4), (2, 9)], 2)) == [0, 4, 9]
 
 
 def test_color_coding_trivial_cases():
@@ -204,12 +197,14 @@ def test_join_part_matches_dense_join_seed5007():
         arr = np.array(cur, dtype=np.int64)
         got = _join_part(arr, part)
         assert got.dtype == np.int64
-        assert got.tolist() == maxconv_values(cur, _part_best(part, limit), limit)
+        # the part profile: the best single item that fits each capacity
+        best = [max([0] + [v for w, v in part if w <= cap]) for cap in range(limit + 1)]
+        assert got.tolist() == maxconv_values(cur, best, limit)
         assert arr.tolist() == cur  # the input profile is left as it was
 
 
 @pytest.mark.parametrize("items, t, dense", HUGE)
-def test_overflow_raises_where_the_dense_join_did(items, t, dense):
+def test_profiles_past_the_word_are_exact(items, t, dense):
     # Where the dense join raised or answered, both solvers now give the
     # exact 0/1 optimum past the word: never a wrapped entry, never an error.
     exact = list(knapsack01_dp(KnapsackInstance(tuple(items), t)))
@@ -297,7 +292,7 @@ def test_early_stop_matches_every_trial_seed5008(k, monkeypatch):
     assert one_trial > (0 if k > 1 else 20)
 
 
-def test_early_stop_answers_exactly_where_a_later_trial_overflowed_seed5009():
+def test_early_stop_is_exact_past_the_word_seed5009():
     # Values near 2^62: some trials' sums pass the word and others' do not,
     # and the early stop may skip the later ones.  Its answer is every
     # trial's, never exceeds the 0/1 optimum, and is that optimum, past the

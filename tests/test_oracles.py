@@ -12,6 +12,7 @@ from maxconv import (
     ValueProfile,
     WeightedTree,
     knapsack01_dp,
+    knapsack_rand,
     mcsp_brute,
     necklace_linf_brute,
     three_sum_conv_brute,
@@ -224,13 +225,13 @@ def _reference_profile_check(best):
     C-speed pass."""
     if not best:
         raise ValueError("profiles must cover at least capacity 0")
-    prev = None
+    vals = []
     for v in best:
-        _check_int(v, "profile entry")
-        if prev is not None and v < prev:
+        v = _check_int(v, "profile entry")
+        if vals and v < vals[-1]:
             raise ValueError("profile entries must be non-decreasing")
-        prev = v
-    return best
+        vals.append(v)
+    return vals if isinstance(best, list) else tuple(vals)
 
 
 class _Small(enum.IntEnum):
@@ -252,6 +253,7 @@ PROFILE_INPUTS = {
     "bool after int": lambda: (0, True),
     "np.int64": lambda: (np.int64(0), np.int64(3)),
     "np.int64 after int": lambda: (0, np.int64(3)),
+    "np.bool_": lambda: (0, np.bool_(True)),
     "int subclass": lambda: (0, _MyInt(4)),
     "IntEnum": lambda: (1, _Small.TWO),
     "float": lambda: (0, 1.0),
@@ -306,3 +308,34 @@ def test_profile_from_an_iterable_gets_the_same_checks():
         ValueProfile(v for v in [0, 5, 4])
     with pytest.raises(ValueError, match="must be an integer"):
         ValueProfile(v for v in [0, 1.0])
+
+
+def test_numpy_integers_answer_as_plain_ints_seed2008():
+    # Numpy integers pass every instance check as Sequence's do, and are
+    # stored as Python ints, so no later sum runs in a fixed-width word.
+    rng = random.Random(2008)
+    lanes = (np.int64, np.int32, np.uint8)
+    for _ in range(60):
+        t = rng.randint(0, 20)
+        items = rand_items(rng, rng.randint(0, 7), t + 3, 40)
+        np_items = [(rng.choice(lanes)(w), rng.choice(lanes)(v)) for w, v in items]
+        inst = KnapsackInstance(tuple(np_items), np.int64(t))
+        assert inst == KnapsackInstance(tuple(items), t)
+        assert {type(x) for item in inst.items for x in (*item, inst.capacity)} <= {int}
+        prof = knapsack01_dp(inst)
+        seed = rng.randrange(1000)
+        assert knapsack_rand(np_items, np.int64(t), 0.1, seed) == knapsack_rand(items, t, 0.1, seed)
+        np_prof = ValueProfile(tuple(np.array(prof.best, dtype=np.int64)))
+        assert np_prof == prof and {type(v) for v in np_prof} == {int}
+        parent, weight = rand_tree(rng, rng.randint(1, 8), 2**62)
+        tree = WeightedTree(tuple(parent), tuple(np.array(weight, dtype=np.int64)))
+        assert tree == WeightedTree(tuple(parent), tuple(weight))
+        assert tree_sparsity_dp(tree, tree.n) == tree_sparsity_dp(WeightedTree(parent, weight), tree.n)
+    beads = NecklaceInstance((np.int64(0), 2), (1, np.int32(3)), np.uint16(4))
+    assert beads == NecklaceInstance((0, 2), (1, 3), 4)
+    assert {type(v) for v in (*beads.x, *beads.y, beads.circle_length)} == {int}
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="item weight must be an integer"):
+            KnapsackInstance(((bad, 1),), 3)
+        with pytest.raises(ValueError, match="capacity must be an integer"):
+            knapsack_rand([(1, 1)], bad, 0.1, 0)

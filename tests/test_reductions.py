@@ -174,7 +174,7 @@ def test_upperbound_to_superadd_random_seed3004():
 def _mcsp_via_conv(a):
     out = reduce_mcsp_to_maxconv(a)
     inst = out.instances[0]
-    return list(out.interpret([max_conv(inst.a, inst.b, inst.limit)]))
+    return list(out.interpret([max_conv(*inst)]))
 
 
 def test_mcsp_via_maxconv_examples():
@@ -221,6 +221,26 @@ def test_tree_sparsity_via_maxconv_examples():
     assert tree_sparsity_via_maxconv(star) == [0, 1, 6, 9]
 
 
+def _shaped_parents(rng: random.Random, shape: str, n: int) -> list[int]:
+    """Parent array of a path, caterpillar, broom or complete binary tree on
+    n nodes, labels shuffled so the root and the heavy children move."""
+    half = max(1, n // 2)
+    if shape == "path":
+        parent = [i - 1 for i in range(n)]
+    elif shape == "caterpillar":  # a path of half the nodes, legs anywhere on it
+        parent = [i - 1 for i in range(half)] + [rng.randrange(half) for _ in range(half, n)]
+    elif shape == "broom":  # a path of half the nodes, the rest a star at its end
+        parent = [i - 1 for i in range(half)] + [half - 1] * (n - half)
+    else:
+        parent = [(i - 1) // 2 for i in range(n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    out = [-1] * n
+    for i, p in enumerate(parent):
+        out[label[i]] = -1 if p < 0 else label[p]
+    return out
+
+
 def test_tree_sparsity_via_maxconv_random_seed3007():
     rng = random.Random(3007)
     for _ in range(100):
@@ -228,6 +248,13 @@ def test_tree_sparsity_via_maxconv_random_seed3007():
         parent, weight = rand_tree(rng, n, 25)
         tree = WeightedTree(tuple(parent), tuple(weight))
         assert tree_sparsity_via_maxconv(tree) == tree_sparsity_dp(tree, 0)[1]
+    # Long spines: every level of the spine halving, and its head/tail merge.
+    for shape in ("path", "caterpillar", "broom", "binary"):
+        for n in (1, 2, 3, rng.randint(4, 60), rng.randint(100, 200)):
+            wmax = rng.choice([0, 25, 2**62])
+            weight = [rng.randint(0, wmax) for _ in range(n)]
+            tree = WeightedTree(tuple(_shaped_parents(rng, shape, n)), tuple(weight))
+            assert tree_sparsity_via_maxconv(tree) == tree_sparsity_dp(tree, 0)[1], (shape, n)
 
 
 # ---------------------------------------------------------------------------
