@@ -33,7 +33,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .core import WORD_MAX, maxconv_values
-from .oracles import ValueProfile, _check_int
+from .oracles import ValueProfile, _check_int, _check_items
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -51,14 +51,6 @@ def _seedseq(rng: SeedLike) -> np.random.SeedSequence:
     if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         return np.random.SeedSequence(int(rng))
     raise TypeError("rng must be an int seed or a numpy SeedSequence")
-
-
-def _clean_items(items: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    for item in items:
-        w, v = item
-        out.append((_check_int(w, "item weight"), _check_int(v, "item value")))
-    return out
 
 
 def _part_steps(part: list[tuple[int, int]], limit: int) -> list[tuple[int, int]]:
@@ -126,7 +118,7 @@ def color_coding(
     from ``rng``, one spawn per trial run, so a SeedSequence passed in ends
     with one spawned child per trial run.
     """
-    zs = _clean_items(items)
+    zs = _check_items(items)
     t = _check_int(t, "capacity")
     k = _check_int(k, "solution size bound", minimum=1)
     if not isinstance(delta, (int, float)) or not 0 < delta < 1:
@@ -168,7 +160,7 @@ def color_coding_layer(
     2*gamma*t/l, and the parts merged pairwise with the convolution
     truncated at 2^h * 2*gamma*t/l per level (rounded up, capped at t).
     """
-    zs = _clean_items(items)
+    zs = _check_items(items)
     t = _check_int(t, "capacity")
     l = _check_int(l, "layer budget", minimum=1)
     _validate_delta(delta)
@@ -226,7 +218,7 @@ def knapsack_rand(
     t = _check_int(t, "capacity")
     _validate_delta(delta)
     root = _seedseq(rng)
-    zs = [(w, v) for w, v in _clean_items(items) if w <= t]
+    zs = [(w, v) for w, v in _check_items(items) if w <= t]
     if t == 0:
         return ValueProfile((0,))
     if not zs:

@@ -190,7 +190,7 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
     if runs is not None:
         return _run_maxconv(*runs, limit)
     lane = np.int32 if span <= _LANE_RANGE[np.int32][1] else np.int64
-    out = _tiled_maxconv(a, (lo_a, hi_a), b, (lo_b, hi_b), limit, lane)
+    out = _tiled_maxconv(a, lo_a, b, lo_b, limit, lane)
     out = out.astype(np.int64, copy=False)
     out += lo_a + lo_b
     return out.tolist()
@@ -270,35 +270,27 @@ def _run_maxconv(x: list, y: list, starts: list, limit: int) -> list:
     return out.tolist()
 
 
-def _lane_array(values: list, bounds: tuple, lane, pad: int = 0) -> np.ndarray:
-    """``values - min(values)`` in the lane dtype, with ``pad`` sentinels
-    (the lane's minimum) on each side.  A sentinel plus any shifted value
-    stays negative, below every real sum, and cannot wrap."""
-    low, high = bounds
-    lane_min, lane_max = _LANE_RANGE[lane]
-    arr = np.full(len(values) + 2 * pad, lane_min, dtype=lane)
-    body = arr[pad : pad + len(values)]
-    if lane_min <= low and high <= lane_max:
-        body[:] = values
-        body -= low
-    else:  # only the shifted values fit the lane
-        wide = np.array(values, dtype=np.int64)
-        wide -= low
-        body[:] = wide
+def _lane_array(values: list, low: int, lane, pad: int = 0) -> np.ndarray:
+    """``values - low`` in the lane dtype (``low`` is ``min(values)``), with
+    ``pad`` sentinels (the lane's minimum) on each side.  The shift is taken
+    in int64, exact on every call the kernel's span check lets through.  A
+    sentinel plus any shifted value stays negative and cannot wrap."""
+    wide = np.array(values, dtype=np.int64)
+    wide -= low
+    arr = np.full(len(values) + 2 * pad, _LANE_RANGE[lane][0], dtype=lane)
+    arr[pad : pad + len(values)] = wide
     return arr
 
 
-def _tiled_maxconv(
-    a: list, a_bounds: tuple, b: list, b_bounds: tuple, limit: int, lane
-) -> np.ndarray:
-    """(max,+)-convolution of ``a - min(a)`` and ``b - min(b)`` up to
-    ``limit``, in the lane dtype; the caller has checked that every sum
-    fits it.  ``*_bounds`` are each operand's (min, max)."""
+def _tiled_maxconv(a: list, lo_a: int, b: list, lo_b: int, limit: int, lane) -> np.ndarray:
+    """(max,+)-convolution of ``a - lo_a`` and ``b - lo_b`` up to ``limit``,
+    in the lane dtype; ``lo_*`` is each operand's minimum and the caller has
+    checked that every sum fits the lane."""
     th = _TILE_ROWS
     rows = min(len(a), limit + 1)
     tw = min(_TILE_COLS, limit + 1)
-    av = _lane_array(a, a_bounds, lane)
-    bp = _lane_array(b, b_bounds, lane, th - 1)
+    av = _lane_array(a, lo_a, lane)
+    bp = _lane_array(b, lo_b, lane, th - 1)
     # wins[r, j] = bp[j + th - 1 - r], so row r of the tile at i0 reads
     # b[k - i0 - r] in output column k = i0 + j: the sum for a[i0 + r].
     step = bp.itemsize
@@ -470,19 +462,11 @@ def check_lower_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Deci
 def is_superadditive(a: SequenceLike) -> Decision:
     """Test a[i] + a[j] <= a[i+j] for every pair with i+j < n.
 
-    Note the pair (0, 0) is included, so a[0] > 0 always fails.
+    Note the pair (0, 0) is included, so a[0] > 0 always fails.  This is
+    check_upper_bound on (a, a, a), so the witness (i, j) has i <= j.
     """
     av = as_values(a)
-    n = len(av)
-    # The convolution finds every violated k at once; the witness is then
-    # the first violating pair in scan order (k ascending, then i).
-    conv = maxconv_values(av, av, n - 1)
-    for k in range(n):
-        if conv[k] > av[k]:
-            for i in range(k // 2 + 1):
-                if av[i] + av[k - i] > av[k]:
-                    return Decision(False, (i, k - i))
-    return Decision(True)
+    return _dominates(av, av, av)
 
 
 def normalize_nonneg_monotone(a: SequenceLike) -> tuple[Sequence, int] | None:

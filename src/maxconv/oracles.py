@@ -29,6 +29,15 @@ def _check_int(v, what: str, minimum: int = 0) -> int:
     return v
 
 
+def _check_items(items) -> list[tuple[int, int]]:
+    """Each ``(weight, value)`` pair as two non-negative Python ints."""
+    out = []
+    for item in items:
+        w, v = item
+        out.append((_check_int(w, "item weight"), _check_int(v, "item value")))
+    return out
+
+
 @dataclass(frozen=True)
 class KnapsackInstance:
     """Item list with non-negative weights/values, a capacity, and a mode.
@@ -45,14 +54,9 @@ class KnapsackInstance:
         if self.mode not in KNAPSACK_MODES:
             raise ValueError(f"mode must be one of {KNAPSACK_MODES}, got {self.mode!r}")
         t = _check_int(self.capacity, "capacity")
-        kept = []
-        for item in self.items:
-            w, v = item
-            w, v = _check_int(w, "item weight"), _check_int(v, "item value")
-            if w <= t:
-                kept.append((w, v))
+        kept = tuple((w, v) for w, v in _check_items(self.items) if w <= t)
         object.__setattr__(self, "capacity", t)
-        object.__setattr__(self, "items", tuple(kept))
+        object.__setattr__(self, "items", kept)
 
     @property
     def n(self) -> int:
@@ -175,7 +179,8 @@ def mcsp_brute(a: SequenceLike) -> list[int]:
 
 @dataclass(frozen=True)
 class WeightedTree:
-    """Rooted tree given as a parent array (-1 marks the root) plus weights."""
+    """Rooted tree given as a parent array (-1 marks the root) plus weights,
+    both kept as tuples of Python ints (numpy integers are converted)."""
 
     parent: tuple[int, ...]
     weight: tuple[int, ...]
@@ -184,14 +189,13 @@ class WeightedTree:
         n = len(self.parent)
         if n == 0 or len(self.weight) != n:
             raise ValueError("parent and weight arrays must be non-empty and equal length")
-        roots = [i for i, p in enumerate(self.parent) if p == -1]
-        if len(roots) != 1:
+        parent = tuple(_check_int(p, "parent link", minimum=-1) for p in self.parent)
+        if parent.count(-1) != 1:
             raise ValueError("exactly one node must have parent -1")
-        for i, p in enumerate(self.parent):
-            if p == -1:
-                continue
-            if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < n or p == i:
+        for i, p in enumerate(parent):
+            if p >= n or p == i:
                 raise ValueError(f"bad parent link {p!r} at node {i}")
+        object.__setattr__(self, "parent", parent)
         object.__setattr__(
             self, "weight", tuple(_check_int(w, "node weight") for w in self.weight)
         )
@@ -248,7 +252,8 @@ def tree_sparsity_dp(tree: WeightedTree, k: int) -> tuple[int, list[int]]:
     every size 0..n.  Children vectors are folded bottom-up.
     """
     n = tree.n
-    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= n:
+    k = _check_int(k, "k")
+    if k > n:
         raise ValueError(f"k must lie in 0..{n}, got {k!r}")
     kids = tree.children()
     vec: list[list[int] | None] = [None] * n

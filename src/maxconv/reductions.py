@@ -28,21 +28,21 @@ from .oracles import KnapsackInstance, NecklaceInstance, WeightedTree
 class ReductionOutcome:
     """Target instances plus the contract for reading the answer back.
 
-    ``interpret`` consumes the list of target answers (one per instance, in
-    order) and returns the source answer.  ``descriptor`` is a JSON-ready
-    summary of that rule; ``blowup`` records size and value growth.
+    ``instances`` holds the target problem's instances (none when the
+    answer is a constant).  ``interpret`` consumes the list of target
+    answers (one per instance, in order) and returns the source answer.
+    ``descriptor`` is a JSON-ready summary of that rule; ``blowup`` records
+    size and value growth.
     """
 
-    target: str
     instances: tuple
     interpret: Callable[[list], object]
     descriptor: dict
     blowup: str
 
 
-def _constant_outcome(target: str, value, reason: str) -> ReductionOutcome:
+def _constant_outcome(value, reason: str) -> ReductionOutcome:
     return ReductionOutcome(
-        target=target,
         instances=(),
         interpret=lambda answers: value,
         descriptor={"kind": "constant", "value": value, "reason": reason},
@@ -78,7 +78,6 @@ def reduce_unbounded_to_01(inst: KnapsackInstance) -> ReductionOutcome:
         return profile[t]
 
     return ReductionOutcome(
-        target="knapsack01",
         instances=(target,),
         interpret=interpret,
         descriptor={"kind": "value-at-capacity", "capacity": t},
@@ -106,13 +105,11 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
     av = as_values(a)
     norm = normalize_nonneg_monotone(av)
     if norm is None:
-        return _constant_outcome(
-            "uknapsack", False, "positive leading element refutes superadditivity"
-        )
+        return _constant_outcome(False, "positive leading element refutes superadditivity")
     ap = list(norm[0].values)
     n = len(ap)
     if n == 1:
-        return _constant_outcome("uknapsack", True, "single non-positive element")
+        return _constant_outcome(True, "single non-positive element")
     d = (2 * n - 1) * max(ap) + 1
     items = [(i, ap[i]) for i in range(1, n)]
     items += [(2 * n - 1 - i, d - ap[i]) for i in range(n)]
@@ -123,7 +120,6 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
         return profile[2 * n - 1] == d
 
     return ReductionOutcome(
-        target="uknapsack",
         instances=(target,),
         interpret=interpret,
         descriptor={
@@ -171,7 +167,6 @@ def reduce_upperbound_to_superadditivity(
         return bool(decision)
 
     return ReductionOutcome(
-        target="superadd",
         instances=(Sequence(e),),
         interpret=interpret,
         descriptor={"kind": "decision-identity"},
@@ -204,7 +199,6 @@ def reduce_mcsp_to_maxconv(a: SequenceLike) -> ReductionOutcome:
         return [conv[n + k - 1] for k in range(1, n + 1)]
 
     return ReductionOutcome(
-        target="maxconv",
         instances=(inst,),
         interpret=interpret,
         descriptor={"kind": "slice", "start": n, "count": n},
@@ -227,9 +221,7 @@ def reduce_superadditivity_to_mcsp(a: SequenceLike) -> ReductionOutcome:
     av = as_values(a)
     n = len(av)
     if n == 1:
-        return _constant_outcome(
-            "mcsp", av[0] <= 0, "single element: superadditive iff non-positive"
-        )
+        return _constant_outcome(av[0] <= 0, "single element: superadditive iff non-positive")
     neg_diff = [-(av[i + 1] - av[i]) for i in range(n - 1)]
     inst = Sequence(neg_diff)
 
@@ -238,7 +230,6 @@ def reduce_superadditivity_to_mcsp(a: SequenceLike) -> ReductionOutcome:
         return all(av[k] <= -sums[k - 1] for k in range(1, n))
 
     return ReductionOutcome(
-        target="mcsp",
         instances=(inst,),
         interpret=interpret,
         descriptor={"kind": "pointwise-window-bound"},
@@ -374,7 +365,6 @@ def reduce_lowerbound_to_necklace(
         return doubled >= threshold
 
     return ReductionOutcome(
-        target="necklace",
         instances=(inst,),
         interpret=interpret,
         descriptor={"kind": "doubled-objective-at-least", "threshold": threshold},
@@ -433,7 +423,6 @@ def reduce_upperbound_to_3sumconv(
         return not any(bool(ans) for ans in answers)
 
     return ReductionOutcome(
-        target="3sumconv",
         instances=tuple(instances),
         interpret=interpret,
         descriptor={"kind": "any-yes-refutes", "instances": 2 * width},

@@ -239,7 +239,7 @@ def _tiles_run(monkeypatch, a: list, b: list, lane, limit: int | None = None) ->
     hi = len(a) + len(b) - 2 if limit is None else limit
     counting = _CountingNumpy()
     monkeypatch.setattr(core, "np", counting)
-    out = core._tiled_maxconv(a, (min(a), max(a)), b, (min(b), max(b)), hi, lane)
+    out = core._tiled_maxconv(a, min(a), b, min(b), hi, lane)
     assert [v + min(a) + min(b) for v in out.tolist()] == want
     return counting.adds, _tile_count(len(a), len(b), hi)
 
@@ -550,9 +550,13 @@ def test_predicate_witnesses_are_genuine_seed1005():
     # Lengths around the point where the kernel leaves its plain loop, with
     # near misses so that violations sit deep in the scan.
     cases += [rand_superadd_candidate(rng, n, 10 * n) for n in (255, 256, 300) for _ in range(12)]
+    # Values near 2**62: where the span leaves the word the kernel runs its
+    # plain loop on Python ints, elsewhere int64 tiles.
+    cases += [rand_superadd_candidate(rng, n, 2**62) for n in (5, 300) for _ in range(6)]
     verdicts = set()
     for a in cases:
         dec = is_superadditive(a)
+        assert dec == check_upper_bound(a, a, a)
         assert dec.holds == brute_superadd(a)
         verdicts.add((len(a) >= 255, dec.holds))
         if not dec.holds:

@@ -328,9 +328,12 @@ def test_numpy_integers_answer_as_plain_ints_seed2008():
         np_prof = ValueProfile(tuple(np.array(prof.best, dtype=np.int64)))
         assert np_prof == prof and {type(v) for v in np_prof} == {int}
         parent, weight = rand_tree(rng, rng.randint(1, 8), 2**62)
-        tree = WeightedTree(tuple(parent), tuple(np.array(weight, dtype=np.int64)))
-        assert tree == WeightedTree(tuple(parent), tuple(weight))
-        assert tree_sparsity_dp(tree, tree.n) == tree_sparsity_dp(WeightedTree(parent, weight), tree.n)
+        tree = WeightedTree(np.array(parent), tuple(np.array(weight, dtype=np.int64)))
+        plain = WeightedTree(parent, weight)
+        assert tree == plain == WeightedTree(tuple(parent), tuple(weight))
+        assert {type(v) for v in (*tree.parent, *tree.weight)} == {int}
+        for k in (tree.n, tree.n // 2):
+            assert tree_sparsity_dp(tree, np.int64(k)) == tree_sparsity_dp(plain, k)
     beads = NecklaceInstance((np.int64(0), 2), (1, np.int32(3)), np.uint16(4))
     assert beads == NecklaceInstance((0, 2), (1, 3), 4)
     assert {type(v) for v in (*beads.x, *beads.y, beads.circle_length)} == {int}
@@ -339,3 +342,11 @@ def test_numpy_integers_answer_as_plain_ints_seed2008():
             KnapsackInstance(((bad, 1),), 3)
         with pytest.raises(ValueError, match="capacity must be an integer"):
             knapsack_rand([(1, 1)], bad, 0.1, 0)
+    # A float root marker equals -1 but is refused like every non-integer.
+    for parent in ((-1.0, 0), (-1, True), (-1, np.bool_(True))):
+        with pytest.raises(ValueError, match="parent link must be an integer"):
+            WeightedTree(parent, (1, 2))
+    with pytest.raises(ValueError, match="parent link must be >= -1"):
+        WeightedTree((-1, -2), (1, 2))
+    with pytest.raises(ValueError, match="k must be an integer"):
+        tree_sparsity_dp(WeightedTree((-1, 0), (1, 2)), 1.0)
