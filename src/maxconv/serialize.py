@@ -13,59 +13,11 @@ import random
 from typing import Callable, NamedTuple
 
 from .core import Sequence, maxconv_values
-from .oracles import KnapsackInstance, NecklaceInstance, WeightedTree
+from .oracles import KnapsackInstance, NecklaceInstance, WeightedTree, _check_int
 
 
 class InstanceFormatError(ValueError):
     """Raised for malformed instance files."""
-
-
-# ---------------------------------------------------------------------------
-# payload fields
-
-
-def _is_int(v, minimum: int | None = None) -> bool:
-    return not isinstance(v, bool) and isinstance(v, int) and (minimum is None or v >= minimum)
-
-
-def _all_ints(val: list, minimum: int | None) -> bool:
-    # One pass at C speed for a list of plain ints; anything else (bools,
-    # int subclasses, non-integers) takes the per-element check.
-    if set(map(type, val)) == {int}:
-        return minimum is None or min(val) >= minimum
-    return all(_is_int(v, minimum) for v in val)
-
-
-def _ints(minimum: int | None = None, array: bool = True):
-    def check(key: str, val):
-        if not array:
-            if not _is_int(val, minimum):
-                raise InstanceFormatError(f"payload field {key!r} must be an integer >= {minimum}")
-        elif not isinstance(val, list) or not val:
-            raise InstanceFormatError(f"payload field {key!r} must be a non-empty array")
-        elif not _all_ints(val, minimum):
-            bound = "" if minimum is None else f" >= {minimum}"
-            raise InstanceFormatError(f"payload field {key!r} must hold integers{bound}")
-        return val
-
-    return check
-
-
-def _items(key: str, val):
-    if not isinstance(val, list):
-        raise InstanceFormatError("items must be an array of [weight, value]")
-    if not all(isinstance(e, list) and len(e) == 2 and all(_is_int(v, 0) for v in e) for e in val):
-        raise InstanceFormatError("items must be [weight, value] pairs of non-negative ints")
-    return [list(e) for e in val]
-
-
-FIELDS: dict[str, Callable[[str, object], object]] = {
-    **dict.fromkeys(("a", "b", "c", "x", "y", "weight"), _ints()),
-    "parent": _ints(-1),
-    "items": _items,
-    **dict.fromkeys(("capacity", "k"), _ints(0, array=False)),
-    "circle_length": _ints(1, array=False),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +75,7 @@ def _gen_superadd(rng, n, w, opts) -> dict:
 def _gen_knapsack(rng, n, w, opts) -> dict:
     t = opts["t"] if opts.get("t") is not None else max(1, 2 * n)
     # Weights in 1..max(1, t): at capacity 0 no item fits.  A negative t is
-    # refused by the payload check on "capacity".
+    # refused when dump_instance builds the KnapsackInstance.
     items = [[rng.randint(1, max(1, t)), rng.randint(0, w)] for _ in range(n)]
     return {"items": items, "capacity": t}
 
@@ -151,10 +103,10 @@ def _gen_necklace(rng, n, w, opts) -> dict:
 
 
 class Problem(NamedTuple):
-    """What an instance of one problem is: its payload fields (checked by
-    ``FIELDS``, where a name means the same thing in every problem), the typed
-    objects the solvers take, a seeded generator ``gen(rng, n, values, opts)``,
-    and the generator options that generator reads (``gen`` records these)."""
+    """What an instance of one problem is: its payload fields, a builder of the
+    typed objects the solvers take (their constructors are the payload's only
+    field check), a seeded generator ``gen(rng, n, values, opts)``, and the
+    generator options that generator reads (``gen`` records these)."""
 
     fields: tuple[str, ...]
     objects: Callable[[dict], tuple]
@@ -163,14 +115,32 @@ class Problem(NamedTuple):
 
 
 def _sequences(fields: tuple[str, ...], gen) -> Problem:
-    return Problem(fields, lambda p: tuple(Sequence(p[f]) for f in fields), gen)
+    def objects(p):
+        seqs = tuple(Sequence(p[f]) for f in fields)
+        if len({len(s) for s in seqs}) > 1:
+            raise ValueError(f"{', '.join(fields)} must have equal lengths")
+        return seqs
+
+    return Problem(fields, objects, gen)
 
 
 def _knapsack(mode: str) -> Problem:
     def objects(p):
-        return (KnapsackInstance(tuple((w, v) for w, v in p["items"]), p["capacity"], mode),)
+        # KnapsackInstance takes any iterable of pairs; an empty string or
+        # object is not a JSON array of items.
+        if not isinstance(p["items"], list):
+            raise ValueError("items must be an array of [weight, value]")
+        return (KnapsackInstance(p["items"], p["capacity"], mode),)
 
     return Problem(("items", "capacity"), objects, _gen_knapsack, ("n", "values", "t"))
+
+
+def _tree(p) -> tuple:
+    tree = WeightedTree(tuple(p["parent"]), tuple(p["weight"]))
+    k = _check_int(p["k"], "k")
+    if k > tree.n:
+        raise ValueError(f"k must lie in 0..{tree.n}, got {k}")
+    return tree, k
 
 
 PROBLEMS: dict[str, Problem] = {
@@ -183,12 +153,7 @@ PROBLEMS: dict[str, Problem] = {
     "knapsack01": _knapsack("zero_one"),
     "uknapsack": _knapsack("unbounded"),
     "mcsp": _sequences(("a",), lambda rng, n, w, o: {"a": _seq(rng, n, w)}),
-    "treesparsity": Problem(
-        ("parent", "weight", "k"),
-        lambda p: (WeightedTree(tuple(p["parent"]), tuple(p["weight"])), p["k"]),
-        _gen_tree,
-        ("n", "values", "k"),
-    ),
+    "treesparsity": Problem(("parent", "weight", "k"), _tree, _gen_tree, ("n", "values", "k")),
     "necklace": Problem(
         ("x", "y", "circle_length"),
         lambda p: (NecklaceInstance(tuple(p["x"]), tuple(p["y"]), p["circle_length"]),),
@@ -214,40 +179,45 @@ def gen_payload(problem: str, rng: random.Random, opts: dict) -> dict:
     return spec.gen(rng, opts["n"], opts["values"], opts)
 
 
-def validate_payload(problem: str, payload: dict) -> dict:
-    """Check the payload against the problem schema; return it normalised."""
+def payload_objects(problem: str, payload: dict):
+    """The typed objects the solvers take, built from ``payload``.  Building
+    them is the payload's one check: a missing field or any value their
+    constructors refuse raises InstanceFormatError."""
     spec = _problem(problem)
-    if not isinstance(payload, dict):
-        raise InstanceFormatError("payload must be an object")
-    out = {key: FIELDS[key](key, payload.get(key)) for key in spec.fields}
-    operands = [key for key in ("a", "b", "c") if key in out]
-    if len({len(out[key]) for key in operands}) > 1:
-        raise InstanceFormatError(f"{', '.join(operands)} must have equal lengths")
-    if "k" in out and out["k"] > len(out["parent"]):
-        raise InstanceFormatError("k exceeds the node count")
-    return out
+    for key in spec.fields:
+        if key not in payload:
+            raise InstanceFormatError(f"payload field {key!r} is missing")
+    try:
+        return spec.objects(payload)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"bad {problem} payload: {exc}") from exc
 
 
 def dump_instance(problem: str, payload: dict, meta: dict | None = None) -> str:
-    doc = {"problem": problem, "payload": validate_payload(problem, payload), "meta": meta or {}}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    payload_objects(problem, payload)
+    fields = {key: payload[key] for key in PROBLEMS[problem].fields}
+    doc = {"problem": problem, "payload": fields, "meta": meta or {}}
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    except TypeError as exc:
+        raise InstanceFormatError(f"instance is not JSON-serialisable: {exc}") from exc
 
 
 def parse_instance(text: str) -> dict:
+    """The instance document in ``text``: valid JSON, a known problem tag, a
+    payload object and a meta object.  The payload's fields are checked when
+    ``payload_objects`` builds the solver objects."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "problem" not in doc or "payload" not in doc:
         raise InstanceFormatError("instance files need 'problem' and 'payload' fields")
-    problem = doc["problem"]
-    payload = validate_payload(problem, doc["payload"])
+    problem, payload = doc["problem"], doc["payload"]
+    _problem(problem)
+    if not isinstance(payload, dict):
+        raise InstanceFormatError("payload must be an object")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise InstanceFormatError("meta must be an object")
     return {"problem": problem, "payload": payload, "meta": meta}
-
-
-def payload_objects(problem: str, payload: dict):
-    """Turn a validated payload into the typed objects the solvers take."""
-    return _problem(problem).objects(payload)

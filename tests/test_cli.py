@@ -18,14 +18,12 @@ import pytest
 from maxconv import KERNELS, Sequence, cli
 from maxconv.cli import METHODS, main
 from maxconv.serialize import (
-    FIELDS,
     PROBLEMS,
     InstanceFormatError,
     dump_instance,
     gen_payload,
     parse_instance,
     payload_objects,
-    validate_payload,
 )
 
 TAGS = (
@@ -133,46 +131,59 @@ def test_serialize_round_trip_is_exact():
 
 
 def test_parse_rejects_bad_documents():
+    for text in (
+        "not json",
+        json.dumps({"problem": "maxconv"}),
+        json.dumps(["maxconv", {}]),
+        json.dumps({"problem": "no-such-problem", "payload": {}}),
+        json.dumps({"problem": "maxconv", "payload": [1]}),
+        json.dumps({"problem": "maxconv", "payload": {}, "meta": []}),
+    ):
+        with pytest.raises(InstanceFormatError):
+            parse_instance(text)
+    # Fields are checked when the solver objects are built, not by the parse.
+    for problem, payload in (
+        ("maxconv", {"a": [1], "b": [1.5]}),
+        ("upperbound", {"a": [1], "b": [1], "c": [1, 2]}),
+        ("maxconv", {"a": [1]}),
+    ):
+        doc = parse_instance(json.dumps({"problem": problem, "payload": payload}))
+        with pytest.raises(InstanceFormatError):
+            payload_objects(doc["problem"], doc["payload"])
+
+
+def test_payload_objects_applies_the_cross_field_rules(tmp_path):
+    # The rules that join two fields, equal operand lengths and 0 <= k <= n,
+    # hold for payload_objects itself, not only for files.
+    bad = [
+        ("treesparsity", "via-maxconv", {"parent": [-1, 0], "weight": [1, 2], "k": -1}),
+        ("treesparsity", "via-maxconv", {"parent": [-1, 0], "weight": [1, 2], "k": 3}),
+        ("maxconv", "naive", {"a": [1, 2, 3], "b": [5]}),
+    ]
+    path = tmp_path / "bad.json"
+    for problem, method, payload in bad:
+        with pytest.raises(InstanceFormatError):
+            payload_objects(problem, payload)
+        path.write_text(json.dumps({"problem": problem, "payload": payload}))
+        assert run_cli(["solve", "--input", str(path), "--method", method]) == (1, "")
+    # Values the solver objects take but JSON cannot write.
     with pytest.raises(InstanceFormatError):
-        parse_instance("not json")
+        dump_instance("maxconv", {"a": [np.int64(1)], "b": [1]})
     with pytest.raises(InstanceFormatError):
-        parse_instance(json.dumps({"problem": "maxconv"}))
-    with pytest.raises(InstanceFormatError):
-        parse_instance(
-            json.dumps({"problem": "maxconv", "payload": {"a": [1], "b": [1.5]}})
-        )
-    with pytest.raises(InstanceFormatError):
-        parse_instance(
-            json.dumps({"problem": "upperbound", "payload": {"a": [1], "b": [1], "c": [1, 2]}})
-        )
+        dump_instance("maxconv", {"a": [1], "b": [1]}, {"seed": np.int64(0)})
 
 
-def _reference_array_check(key, val, minimum):
-    """Integer array fields checked one element at a time: the reference
-    for FIELDS' C-speed pass."""
-    def is_int(v):
-        return not isinstance(v, bool) and isinstance(v, int) and (minimum is None or v >= minimum)
-
-    if not isinstance(val, list) or not val:
-        raise InstanceFormatError(f"payload field {key!r} must be a non-empty array")
-    if not all(is_int(v) for v in val):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise InstanceFormatError(f"payload field {key!r} must hold integers{bound}")
-    return val
-
-
-class _Small(int):
-    pass
-
-
+# Field values tried in an otherwise valid instance file.  ACCEPTED names,
+# per field, the rows that `solve` answers; every other row must exit 1.
 ARRAY_FIELD_INPUTS = {
     "ints": [3, -1, 0],
     "one": [7],
     "minus one": [-1, 0, 4],
     "minus two": [0, -2],
     "big": [2**70, -(2**70)],
+    "tree": [-1, 0, 1],
+    "sorted": [0, 2, 2],
     "empty": [],
-    "not a list": (1, 2),
     "dict": {"a": 1},
     "True": [True],
     "True after int": [1, True],
@@ -181,25 +192,172 @@ ARRAY_FIELD_INPUTS = {
     "str": ["3"],
     "None": [None],
     "nested": [[1]],
+    "number": 5,
+    "string": "12",
+    "empty string": "",
+    "empty object": {},
+    "null": None,
+}
+SCALAR_FIELD_INPUTS = {
+    "zero": 0,
+    "one": 1,
+    "seven": 7,
+    "minus one": -1,
+    "float": 1.5,
+    "whole float": 2.0,
+    "True": True,
+    "False": False,
+    "str": "3",
+    "None": None,
+    "list": [1],
+    "empty object": {},
+}
+ITEMS_INPUTS = {
+    "pairs": [[1, 2], [3, 4]],
+    "no items": [],
+    "heavy": [[5, 1]],
+    "triple": [[1, 2], [1, 2, 3]],
+    "number entry": [[1, 2], 5],
+    "negative": [[1, -2]],
+    "float": [[1.5, 2]],
+    "True": [[True, 2]],
+    "str weight": [["1", 2]],
+    "two-char string": ["12"],
+    "object entry": [{"w": 1, "v": 2}],
+    "empty string": "",
+    "empty object": {},
+    "null": None,
+    "number": 5,
+}
+ACCEPTED = {
+    "a": {"ints", "one", "minus one", "minus two", "big", "tree", "sorted"},
+    "parent": {"tree"},
+    "weight": {"one", "sorted"},
+    "x": {"one", "sorted"},
+    "capacity": {"zero", "one", "seven"},
+    "k": {"zero", "one"},
+    "circle_length": {"one", "seven"},
+    "items": {"pairs", "no items", "heavy"},
+}
+
+
+def _instance_with(key, val):
+    """(problem, reference method, payload) with ``val`` in field ``key`` and
+    every other field valid, sized to match ``val`` where it is a list or
+    tuple."""
+    m = len(val) if isinstance(val, (list, tuple)) else 1
+    return {
+        "a": lambda: ("superadd", "direct", {"a": val}),
+        "parent": lambda: ("treesparsity", "dp", {"parent": val, "weight": [1] * m, "k": 0}),
+        "weight": lambda: (
+            "treesparsity", "dp", {"parent": [-1] + [0] * (m - 1), "weight": val, "k": 0}
+        ),
+        "x": lambda: ("necklace", "brute", {"x": val, "y": [0] * m, "circle_length": 2**80}),
+        "capacity": lambda: ("knapsack01", "dp", {"items": [[1, 2], [3, 4]], "capacity": val}),
+        "k": lambda: ("treesparsity", "dp", {"parent": [-1, 0], "weight": [1, 2], "k": val}),
+        "circle_length": lambda: (
+            "necklace", "brute", {"x": [0, 1], "y": [1, 1], "circle_length": val}
+        ),
+        "items": lambda: ("knapsack01", "dp", {"items": val, "capacity": 4}),
+    }[key]()
+
+
+FIELD_INPUTS = {
+    **dict.fromkeys(("a", "parent", "weight", "x"), ARRAY_FIELD_INPUTS),
+    **dict.fromkeys(("capacity", "k", "circle_length"), SCALAR_FIELD_INPUTS),
+    "items": ITEMS_INPUTS,
+}
+FIELD_CASES = [(key, name) for key, table in FIELD_INPUTS.items() for name in table]
+
+
+@pytest.mark.parametrize(
+    "key, name", FIELD_CASES, ids=[f"{key}-{name}" for key, name in FIELD_CASES]
+)
+def test_payload_field_verdicts(key, name, tmp_path):
+    problem, method, payload = _instance_with(key, FIELD_INPUTS[key][name])
+    accepted = name in ACCEPTED[key]
+    if accepted:
+        payload_objects(problem, payload)
+    else:
+        with pytest.raises(InstanceFormatError):
+            payload_objects(problem, payload)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"problem": problem, "payload": payload}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["solve", "--input", str(path), "--method", method])
+    if accepted:
+        assert (code, err.getvalue()) == (0, "")
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+
+class _Small(int):
+    pass
+
+
+# Array values a Python caller can pass but no JSON file can hold.
+PYTHON_ARRAY_INPUTS = {
+    "not a list": (1, 2),
     "int subclass": [_Small(4), 1],
     "np.int64": [np.int64(3)],
     "np.bool_": [np.bool_(False)],
 }
+ALL_ARRAY_INPUTS = {**ARRAY_FIELD_INPUTS, **PYTHON_ARRAY_INPUTS}
 
 
-def _field_outcome(check, key, val):
+def _reference_array_check(val, minimum):
+    """An integer array field checked one element at a time: the reference
+    for the C-speed pass in ``Sequence`` and the link check in
+    ``WeightedTree``.  Any non-empty iterable of ints and numpy integers (no
+    bools) at or above ``minimum`` passes, as a list of Python ints."""
     try:
-        return "accepted", check(key, val)
-    except InstanceFormatError as exc:
-        return "rejected", str(exc)
+        vals = list(val)
+    except TypeError:
+        return "rejected"
+    if not vals or not all(
+        not isinstance(v, bool)
+        and isinstance(v, (int, np.integer))
+        and (minimum is None or v >= minimum)
+        for v in vals
+    ):
+        return "rejected"
+    return [int(v) for v in vals]
 
 
-@pytest.mark.parametrize("name", sorted(ARRAY_FIELD_INPUTS))
+def _is_tree(parent):
+    """One root (-1), and every node reaches it within n steps."""
+    n = len(parent)
+    if parent.count(-1) != 1 or not all(-1 <= p < n for p in parent):
+        return False
+    for node in range(n):
+        for _ in range(n):
+            if node == -1:
+                break
+            node = parent[node]
+        if node != -1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(ALL_ARRAY_INPUTS))
 @pytest.mark.parametrize("key, minimum", [("a", None), ("parent", -1)])
 def test_array_field_check_matches_the_reference_loop(key, minimum, name):
-    val = ARRAY_FIELD_INPUTS[name]
-    want = _field_outcome(lambda k, v: _reference_array_check(k, v, minimum), key, val)
-    assert _field_outcome(FIELDS[key], key, val) == want
+    val = ALL_ARRAY_INPUTS[name]
+    want = _reference_array_check(val, minimum)
+    if key == "parent" and want != "rejected" and not _is_tree(want):
+        want = "rejected"
+    problem, _, payload = _instance_with(key, val)
+    try:
+        built = payload_objects(problem, payload)[0]
+    except InstanceFormatError:
+        got = "rejected"
+    else:
+        got = list(built.values if key == "a" else built.parent)
+        assert {type(v) for v in got} == {int}
+    assert got == want
 
 
 def test_solve_methods_agree(tmp_path):
@@ -421,7 +579,7 @@ def test_every_route_is_exact_past_the_word_seed7001():
         for values in (2**62, 2**63 + 7, 2**70):
             for _ in range(12):
                 opts = {"n": rng.randint(1, 7), "values": values}
-                payload = validate_payload(problem, gen_payload(problem, rng, opts))
+                payload = gen_payload(problem, rng, opts)
                 objs = payload_objects(problem, payload)
                 run_opts = {"delta": 0.25, "seed": 0}
                 ref = reference(objs, run_opts)
