@@ -38,11 +38,16 @@ from .oracles import ValueProfile, _check_int, _check_items
 SeedLike = Union[int, np.random.SeedSequence]
 
 
-def _validate_delta(delta) -> None:
+def _check_delta(delta, upper: float, parts: int = 1) -> float:
+    """The share delta / parts of a delta that must be a number (not a bool)
+    in (0, upper]; a share that rounds to 0 makes delta too small."""
     if not isinstance(delta, (int, float)) or isinstance(delta, bool):
         raise ValueError("delta must be a number")
-    if not 0 < delta <= 0.25:
-        raise ValueError("delta must lie in (0, 1/4]")
+    if not 0 < delta <= upper:
+        raise ValueError(f"delta must lie in (0, {upper}]")
+    if delta / parts == 0:
+        raise ValueError(f"delta {delta!r} is too small: split {parts} ways it rounds to 0")
+    return delta / parts
 
 
 def _seedseq(rng: SeedLike) -> np.random.SeedSequence:
@@ -121,9 +126,9 @@ def color_coding(
     zs = _check_items(items)
     t = _check_int(t, "capacity")
     k = _check_int(k, "solution size bound", minimum=1)
-    if not isinstance(delta, (int, float)) or not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    trials = max(1, math.ceil(math.log(1 / delta) / math.log(4 / 3)))
+    _check_delta(delta, 1)
+    # -log(delta), not log(1 / delta): 1 / delta overflows for subnormal delta.
+    trials = max(1, math.ceil(-math.log(delta) / math.log(4 / 3)))
     parts_total = k * k
     root = _seedseq(rng)
     dtype = _profile_dtype(zs)
@@ -163,7 +168,7 @@ def color_coding_layer(
     zs = _check_items(items)
     t = _check_int(t, "capacity")
     l = _check_int(l, "layer budget", minimum=1)
-    _validate_delta(delta)
+    _check_delta(delta, 0.25)
     for w, _ in zs:
         if w * l > 2 * t:
             raise ValueError(f"item weight {w} exceeds the layer bound 2t/l")
@@ -172,9 +177,10 @@ def color_coding_layer(
     if len(zs) > l and any(w * (l + 1) <= t for w, _ in zs):
         raise ValueError("light items would let more than l items fit the layer")
     root = _seedseq(rng)
-    log_ld = math.log2(l / delta)
+    log_ld = math.log2(l) - math.log2(delta)
     if l < log_ld:
         return color_coding(zs, t, l, delta, root)
+    share = _check_delta(delta, 0.25, l)
     m = 1 << max(0, math.ceil(math.log2(l / log_ld)))
     gamma = max(1, math.ceil(6 * log_ld))
     cap = min(t, math.ceil(2 * gamma * t / l))
@@ -185,7 +191,7 @@ def color_coding_layer(
         for item, part in zip(zs, gen.integers(0, m, size=len(zs))):
             parts[int(part)].append(item)
     profs = [
-        list(color_coding(parts[j], cap, gamma, delta / l, seqs[j + 1]).best)
+        list(color_coding(parts[j], cap, gamma, share, seqs[j + 1]).best)
         for j in range(m)
     ]
     level = 1
@@ -216,14 +222,14 @@ def knapsack_rand(
     matches it with probability at least 1 - delta.
     """
     t = _check_int(t, "capacity")
-    _validate_delta(delta)
-    root = _seedseq(rng)
     zs = [(w, v) for w, v in _check_items(items) if w <= t]
+    layers = max(1, (len(zs) - 1).bit_length())  # ceil(log2 |zs|)
+    share = _check_delta(delta, 0.25, layers)
+    root = _seedseq(rng)
     if t == 0:
         return ValueProfile((0,))
     if not zs:
         return ValueProfile(tuple([0] * (t + 1)))
-    layers = max(1, math.ceil(math.log2(len(zs))))
     buckets: list[list[tuple[int, int]]] = [[] for _ in range(layers + 1)]
     for w, v in zs:
         layer = layers
@@ -237,6 +243,6 @@ def knapsack_rand(
     for i in range(1, layers + 1):
         if not buckets[i]:
             continue
-        prof = color_coding_layer(buckets[i], t, 1 << i, delta / layers, seqs[i - 1])
+        prof = color_coding_layer(buckets[i], t, 1 << i, share, seqs[i - 1])
         acc = maxconv_values(acc, list(prof.best), t)
     return ValueProfile(tuple(acc))

@@ -30,9 +30,12 @@ def _check_int(v, what: str, minimum: int = 0) -> int:
 
 
 def _check_items(items) -> list[tuple[int, int]]:
-    """Each ``(weight, value)`` pair as two non-negative Python ints."""
+    """Each ``(weight, value)`` pair as two non-negative Python ints.  An
+    entry that is not a tuple, list or array of two raises ValueError."""
     out = []
     for item in items:
+        if not isinstance(item, (tuple, list, np.ndarray)) or len(item) != 2:
+            raise ValueError(f"item {item!r} is not a [weight, value] pair")
         w, v = item
         out.append((_check_int(w, "item weight"), _check_int(v, "item value")))
     return out
@@ -57,10 +60,6 @@ class KnapsackInstance:
         kept = tuple((w, v) for w, v in _check_items(self.items) if w <= t)
         object.__setattr__(self, "capacity", t)
         object.__setattr__(self, "items", kept)
-
-    @property
-    def n(self) -> int:
-        return len(self.items)
 
 
 @dataclass(frozen=True)
@@ -297,10 +296,6 @@ class NecklaceInstance:
                     raise ValueError("bead positions must be sorted")
                 beads.append(p)
             object.__setattr__(self, name, tuple(beads))
-
-    @property
-    def n_beads(self) -> int:
-        return len(self.x)
 
 
 def necklace_linf_brute(inst: NecklaceInstance) -> int:

@@ -31,23 +31,16 @@ class ReductionOutcome:
     ``instances`` holds the target problem's instances (none when the
     answer is a constant).  ``interpret`` consumes the list of target
     answers (one per instance, in order) and returns the source answer.
-    ``descriptor`` is a JSON-ready summary of that rule; ``blowup`` records
-    size and value growth.
+    Each reduction's docstring states its growth in n and W, where W is
+    max(1, max |input value|); the tests check it on the instances built.
     """
 
     instances: tuple
     interpret: Callable[[list], object]
-    descriptor: dict
-    blowup: str
 
 
-def _constant_outcome(value, reason: str) -> ReductionOutcome:
-    return ReductionOutcome(
-        instances=(),
-        interpret=lambda answers: value,
-        descriptor={"kind": "constant", "value": value, "reason": reason},
-        blowup="degenerate: no target instance",
-    )
+def _constant_outcome(value) -> ReductionOutcome:
+    return ReductionOutcome((), lambda answers: value)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +52,8 @@ def reduce_unbounded_to_01(inst: KnapsackInstance) -> ReductionOutcome:
     every j up to floor(log2 t) (none at t = 0).  Any multiplicity <= t
     decomposes over the doubled copies, and any 0/1 selection maps back to a
     multiset, so the optima agree at every capacity up to t.
+
+    Growth: at most n * t.bit_length() items.
     """
     if inst.mode != "unbounded":
         raise ValueError("source instance must be unbounded")
@@ -77,12 +72,7 @@ def reduce_unbounded_to_01(inst: KnapsackInstance) -> ReductionOutcome:
         (profile,) = answers
         return profile[t]
 
-    return ReductionOutcome(
-        instances=(target,),
-        interpret=interpret,
-        descriptor={"kind": "value-at-capacity", "capacity": t},
-        blowup=f"items {inst.n} -> {len(items)} (<= n*(floor(log2 t)+1))",
-    )
+    return ReductionOutcome((target,), interpret)
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +91,17 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
     D = (2n-1) * max(a') + 1.  An optimal packing then always contains
     exactly one heavy item, and superadditivity lets the light remainder
     be merged into the single matching partner.
+
+    Growth: none, or 2n-1 items at capacity 2n-1, values <= (2n-1)n(W+1) + 1.
     """
     av = as_values(a)
     norm = normalize_nonneg_monotone(av)
     if norm is None:
-        return _constant_outcome(False, "positive leading element refutes superadditivity")
+        return _constant_outcome(False)
     ap = list(norm[0].values)
     n = len(ap)
     if n == 1:
-        return _constant_outcome(True, "single non-positive element")
+        return _constant_outcome(True)
     d = (2 * n - 1) * max(ap) + 1
     items = [(i, ap[i]) for i in range(1, n)]
     items += [(2 * n - 1 - i, d - ap[i]) for i in range(n)]
@@ -119,16 +111,7 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
         (profile,) = answers
         return profile[2 * n - 1] == d
 
-    return ReductionOutcome(
-        instances=(target,),
-        interpret=interpret,
-        descriptor={
-            "kind": "optimum-equals-threshold",
-            "threshold": d,
-            "capacity": 2 * n - 1,
-        },
-        blowup=f"{2 * n - 1} items, values <= D = {d}",
-    )
+    return ReductionOutcome((target,), interpret)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +128,8 @@ def reduce_upperbound_to_superadditivity(
     with C = W+1, D = 2W+1 preserves each inequality); blocks are lifted by
     multiples of K = max value so only cross-block pairs (a-block, b-block)
     land on the c-block, where the offsets cancel.
+
+    Growth: one sequence of length 4n, entries in [0, 6K], K <= (2W+1)(n+1).
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
     n = _require_equal_lengths(av, bv, cv)
@@ -166,12 +151,7 @@ def reduce_upperbound_to_superadditivity(
         (decision,) = answers
         return bool(decision)
 
-    return ReductionOutcome(
-        instances=(Sequence(e),),
-        interpret=interpret,
-        descriptor={"kind": "decision-identity"},
-        blowup=f"length {4 * n}, values <= {6 * k} (O(nW))",
-    )
+    return ReductionOutcome((Sequence(e),), interpret)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +163,8 @@ def reduce_mcsp_to_maxconv(a: SequenceLike) -> ReductionOutcome:
     against negated reversed prefix sums; a -D filler (D twice any partial
     sum) keeps the padding from ever winning a maximum.  The one target
     instance is the tuple ``(b, c, limit)`` of ``max_conv``'s arguments.
+
+    Growth: operands of length 2n, |entries| <= 2(nW + 1).
     """
     av = as_values(a)
     n = len(av)
@@ -198,12 +180,7 @@ def reduce_mcsp_to_maxconv(a: SequenceLike) -> ReductionOutcome:
         (conv,) = answers
         return [conv[n + k - 1] for k in range(1, n + 1)]
 
-    return ReductionOutcome(
-        instances=(inst,),
-        interpret=interpret,
-        descriptor={"kind": "slice", "start": n, "count": n},
-        blowup=f"operand length {2 * n}, filler {filler}",
-    )
+    return ReductionOutcome((inst,), interpret)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +194,13 @@ def reduce_superadditivity_to_mcsp(a: SequenceLike) -> ReductionOutcome:
 
     A single-element input carries only the pair (0,0), i.e. the verdict is
     a[0] <= 0, decided without any target instance.
+
+    Growth: none, or one sequence of length n-1, |entries| <= 2W.
     """
     av = as_values(a)
     n = len(av)
     if n == 1:
-        return _constant_outcome(av[0] <= 0, "single element: superadditive iff non-positive")
+        return _constant_outcome(av[0] <= 0)
     neg_diff = [-(av[i + 1] - av[i]) for i in range(n - 1)]
     inst = Sequence(neg_diff)
 
@@ -229,12 +208,7 @@ def reduce_superadditivity_to_mcsp(a: SequenceLike) -> ReductionOutcome:
         (sums,) = answers
         return all(av[k] <= -sums[k - 1] for k in range(1, n))
 
-    return ReductionOutcome(
-        instances=(inst,),
-        interpret=interpret,
-        descriptor={"kind": "pointwise-window-bound"},
-        blowup=f"one instance of length {n - 1}",
-    )
+    return ReductionOutcome((inst,), interpret)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +307,9 @@ def reduce_lowerbound_to_necklace(
     alignment spread (B - B1) + (conv(a,b)[n-k-1] - c[n-k-1]), so the
     doubled objective drops below B - B1 exactly when the source answer
     is NO.
+
+    Growth: 2n beads per side, circumference 2M(S^2 n + S) <= 2(4W+3)(100n+10),
+    with S = _ALIGN_SCALE = 10 and M <= 4W+3 the largest shifted entry.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
     n = _require_equal_lengths(av, bv, cv)
@@ -364,12 +341,7 @@ def reduce_lowerbound_to_necklace(
         (doubled,) = answers
         return doubled >= threshold
 
-    return ReductionOutcome(
-        instances=(inst,),
-        interpret=interpret,
-        descriptor={"kind": "doubled-objective-at-least", "threshold": threshold},
-        blowup=f"2n = {2 * n} beads, circumference {2 * big} (O(nW) * scale^2)",
-    )
+    return ReductionOutcome((inst,), interpret)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +370,8 @@ def reduce_upperbound_to_3sumconv(
     prefix lengths 1..width, the second gates entries with a +-D sentinel
     that no genuine sum can match.  Inputs are shifted non-negative first
     (add W to a and b, 2W to c), which preserves every strict inequality.
+
+    Growth: 2 max(1, bit_length(3W)) instances of length n, |entries| <= 6W+1.
     """
     av, bv, cv = as_values(a), as_values(b), as_values(c)
     n = _require_equal_lengths(av, bv, cv)
@@ -422,9 +396,4 @@ def reduce_upperbound_to_3sumconv(
     def interpret(answers: list) -> bool:
         return not any(bool(ans) for ans in answers)
 
-    return ReductionOutcome(
-        instances=tuple(instances),
-        interpret=interpret,
-        descriptor={"kind": "any-yes-refutes", "instances": 2 * width},
-        blowup=f"2*(floor(log2 W')+1) = {2 * width} instances, sentinel {d}",
-    )
+    return ReductionOutcome(tuple(instances), interpret)

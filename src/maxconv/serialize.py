@@ -126,10 +126,6 @@ def _sequences(fields: tuple[str, ...], gen) -> Problem:
 
 def _knapsack(mode: str) -> Problem:
     def objects(p):
-        # KnapsackInstance takes any iterable of pairs; an empty string or
-        # object is not a JSON array of items.
-        if not isinstance(p["items"], list):
-            raise ValueError("items must be an array of [weight, value]")
         return (KnapsackInstance(p["items"], p["capacity"], mode),)
 
     return Problem(("items", "capacity"), objects, _gen_knapsack, ("n", "values", "t"))
@@ -179,14 +175,21 @@ def gen_payload(problem: str, rng: random.Random, opts: dict) -> dict:
     return spec.gen(rng, opts["n"], opts["values"], opts)
 
 
+# The payload fields that hold one integer; every other field is an array.
+_SCALAR_FIELDS = ("capacity", "k", "circle_length")
+
+
 def payload_objects(problem: str, payload: dict):
     """The typed objects the solvers take, built from ``payload``.  Building
-    them is the payload's one check: a missing field or any value their
+    them is the payload's one check: a missing field, an array field that is
+    not an array (a list, or a tuple from Python callers), or any value the
     constructors refuse raises InstanceFormatError."""
     spec = _problem(problem)
     for key in spec.fields:
         if key not in payload:
             raise InstanceFormatError(f"payload field {key!r} is missing")
+        if key not in _SCALAR_FIELDS and not isinstance(payload[key], (list, tuple)):
+            raise InstanceFormatError(f"bad {problem} payload: field {key!r} must be an array")
     try:
         return spec.objects(payload)
     except (TypeError, ValueError) as exc:

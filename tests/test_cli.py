@@ -268,6 +268,18 @@ FIELD_INPUTS = {
     "items": ITEMS_INPUTS,
 }
 FIELD_CASES = [(key, name) for key, table in FIELD_INPUTS.items() for name in table]
+# How a refusal names each field: by its key when it holds no array, else by
+# the word its solver object uses for it.
+FIELD_WORDS = {
+    "a": "sequence",
+    "parent": "parent",
+    "weight": "weight",
+    "x": "bead",
+    "capacity": "capacity",
+    "k": "k must",
+    "circle_length": "circle length",
+    "items": "item",
+}
 
 
 @pytest.mark.parametrize(
@@ -290,7 +302,9 @@ def test_payload_field_verdicts(key, name, tmp_path):
         assert (code, err.getvalue()) == (0, "")
     else:
         assert (code, out.getvalue()) == (1, "")
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        msg = err.getvalue()
+        assert msg.startswith("error: ") and msg.count("\n") == 1
+        assert f"field {key!r}" in msg or FIELD_WORDS[key] in msg, msg
 
 
 
@@ -403,6 +417,41 @@ def test_solve_rand_reports_agreement(tmp_path):
     assert code == 0  # soundness can never trip here
     assert report["oracle_agreement"] in (True, False)
     assert "wall_time_s" in report
+
+
+def _solve(args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["solve", *args])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_solve_rand_takes_a_subnormal_delta(tmp_path):
+    path = tmp_path / "k.json"
+    run_cli(["gen", "--problem", "knapsack01", "--n", "6", "--t", "12",
+             "--seed", "2", "--out", str(path)])
+    # 1 / delta overflows to inf for these; the trial counts use -log(delta).
+    for delta in ("1e-308", "1e-310"):
+        code, out, err = _solve(["--input", str(path), "--method", "rand",
+                                 "--delta", delta, "--check"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["oracle_agreement"] is True
+    # The least subnormal lies in (0, 1/4], but split over the layers it is 0.
+    code, out, err = _solve(["--input", str(path), "--method", "rand", "--delta", "5e-324"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: delta 5e-324 is too small") and err.count("\n") == 1
+
+
+def test_solve_capacity_past_the_index_range_is_an_input_error(tmp_path):
+    # Both methods build a list of capacity + 1 entries, which raises
+    # OverflowError past the index range; main reports it as an input error.
+    path = tmp_path / "huge.json"
+    payload = {"items": [[1, 2]], "capacity": 10**20}
+    path.write_text(json.dumps({"problem": "knapsack01", "payload": payload}))
+    for method in ("dp", "rand"):
+        code, out, err = _solve(["--input", str(path), "--method", method])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_solve_exit_codes(tmp_path):

@@ -150,6 +150,30 @@ def test_knapsack_rand_edge_cases():
         knapsack_rand([(1, 1)], 3, 0.05, None)  # seed is mandatory
 
 
+def test_delta_rule_seed5010():
+    rng = random.Random(5010)
+    items = rand_items(rng, 12, 40, 30)
+    exact = list(knapsack01_dp(KnapsackInstance(tuple(items), 40)))
+    # Subnormal deltas, whose reciprocal overflows to inf, still set a trial count.
+    for delta in (1e-308, 1e-310):
+        assert list(knapsack_rand(items, 40, delta, 1)) == exact
+        assert list(color_coding(items, 40, 12, delta, 1)) == exact
+    # In (0, 1/4], but its share over the 4 layers rounds to 0; with one
+    # layer (two items) there is no split, and it is answered.
+    with pytest.raises(ValueError, match="too small"):
+        knapsack_rand(items, 40, 5e-324, 1)
+    two = items[:2]
+    assert list(knapsack_rand(two, 40, 5e-324, 1)) == list(
+        knapsack01_dp(KnapsackInstance(tuple(two), 40))
+    )
+    for bad in (0, -0.1, 0.3, float("nan"), True, "0.1"):
+        with pytest.raises(ValueError, match="delta must"):
+            knapsack_rand(items, 40, bad, 1)
+    for bad in (0, 1.5, float("nan"), True):
+        with pytest.raises(ValueError, match="delta must"):
+            color_coding(items, 40, 12, bad, 1)
+
+
 def test_knapsack_rand_never_exceeds_dp_seed5004():
     rng = random.Random(5004)
     for trial in range(300):

@@ -62,7 +62,7 @@ def test_unbounded_to_01_random_profiles_seed3001():
         src = KnapsackInstance(items, t, "unbounded")
         out = reduce_unbounded_to_01(src)
         target = out.instances[0]
-        assert len(target.items) <= src.n * t.bit_length()
+        assert len(target.items) <= len(src.items) * t.bit_length()
         got = knapsack01_dp(target)
         want = unbounded_knapsack_dp(src)
         # the whole profile matches, not just the capacity-t entry
@@ -104,8 +104,9 @@ def test_superadd_to_unbounded_structure():
     out = reduce_superadditivity_to_unbounded([0, 0, 0])
     inst = out.instances[0]
     assert inst.capacity == 5 and inst.mode == "unbounded"
-    # normalized sequence is [0, 1, 2]; light items pair with heavy partners
-    d = out.descriptor["threshold"]
+    # normalized sequence is [0, 1, 2]; light items pair with heavy partners,
+    # and the one heavy item at the full capacity is worth the threshold D
+    (d,) = [v for w, v in inst.items if w == inst.capacity]
     assert d == 5 * 2 + 1
     assert sorted(inst.items) == [(1, 1), (2, 2), (3, d - 2), (4, d - 1), (5, d)]
 
@@ -123,8 +124,9 @@ def test_superadd_to_unbounded_optimum_at_least_threshold_seed3002():
         verdict = _superadd_via_unbounded(a)
         assert verdict == bool(is_superadditive(a))
         if out.instances:
-            opt = unbounded_knapsack_dp(out.instances[0])[out.instances[0].capacity]
-            assert opt >= out.descriptor["threshold"]
+            inst = out.instances[0]
+            (d,) = [v for w, v in inst.items if w == inst.capacity]
+            assert unbounded_knapsack_dp(inst)[inst.capacity] >= d
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def test_lowerbound_to_necklace_growth_contract():
     inst = out.instances[0]
     w = 4
     scale = 10
-    assert inst.n_beads == 4
+    assert len(inst.x) == 4
     assert inst.circle_length <= 2 * (4 * w + 3) * (scale + scale * scale * 2)
 
 
@@ -322,19 +324,54 @@ def test_upperbound_to_3sumconv_random_seed3009():
         assert _upper_via_3sum(a, b, c) == bool(check_upper_bound(a, b, c))
 
 
-def test_reduction_descriptors_are_jsonable():
-    import json
+# ---------------------------------------------------------------------------
+# growth bounds, as each reduction's docstring states them
 
-    outs = [
-        reduce_unbounded_to_01(KnapsackInstance(((2, 3),), 5, "unbounded")),
-        reduce_superadditivity_to_unbounded([0, 1, 2]),
-        reduce_superadditivity_to_unbounded([5]),
-        reduce_upperbound_to_superadditivity([0], [0], [0]),
-        reduce_mcsp_to_maxconv([1, 2]),
-        reduce_superadditivity_to_mcsp([0, 1]),
-        reduce_lowerbound_to_necklace([0], [0], [0]),
-        reduce_upperbound_to_3sumconv([0], [0], [0]),
-    ]
-    for out in outs:
-        json.dumps(out.descriptor)
-        assert out.blowup
+
+def _magnitude(*seqs) -> int:
+    """W: max(1, max |input value|)."""
+    return max(1, max(abs(v) for s in seqs for v in s))
+
+
+def test_reduction_growth_bounds_seed3010():
+    rng = random.Random(3010)
+    for _ in range(60):
+        for w in (0, 1, 3, 50, 10**6, 2**62, 2**70):
+            n = rng.randint(1, 12)
+
+            t = rng.randint(0, 300)
+            items = tuple((rng.randint(1, max(1, t)), rng.randint(0, w)) for _ in range(n))
+            (inst,) = reduce_unbounded_to_01(KnapsackInstance(items, t, "unbounded")).instances
+            assert len(inst.items) <= n * t.bit_length()
+
+            a = rand_superadd_candidate(rng, n, w)
+            big_w = _magnitude(a)
+            out = reduce_superadditivity_to_unbounded(a)
+            if out.instances:
+                (inst,) = out.instances
+                assert len(inst.items) == inst.capacity == 2 * n - 1
+                assert max(v for _, v in inst.items) <= (2 * n - 1) * n * (big_w + 1) + 1
+            out = reduce_superadditivity_to_mcsp(a)
+            if out.instances:
+                (diff,) = out.instances
+                assert len(diff) == n - 1
+                assert _magnitude(diff) <= 2 * big_w
+
+            a = rand_seq(rng, n, w)
+            ((b, c, _),) = reduce_mcsp_to_maxconv(a).instances
+            assert len(b) == len(c) == 2 * n
+            assert _magnitude(b, c) <= 2 * (n * _magnitude(a) + 1)
+
+            a, b, c = rand_bound_triple(rng, n, w, upper=rng.random() < 0.5)
+            big_w = _magnitude(a, b, c)
+            (e,) = reduce_upperbound_to_superadditivity(a, b, c).instances
+            assert len(e) == 4 * n
+            assert 0 <= min(e) and max(e) <= 6 * (2 * big_w + 1) * (n + 1)
+            (neck,) = reduce_lowerbound_to_necklace(a, b, c).instances
+            assert len(neck.x) == len(neck.y) == 2 * n
+            assert neck.circle_length <= 2 * (4 * big_w + 3) * (100 * n + 10)
+            triples = reduce_upperbound_to_3sumconv(a, b, c).instances
+            assert len(triples) <= 2 * max(1, (3 * big_w).bit_length())
+            for triple in triples:
+                assert [len(s) for s in triple] == [n, n, n]
+                assert _magnitude(*triple) <= 6 * big_w + 1
