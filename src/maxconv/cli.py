@@ -256,7 +256,7 @@ def _cmd_crosscheck(args) -> int:
                 entry["disagreements"] += not agrees
     for name, entry in stats.items():
         if (args.problem, name) in RANDOMIZED:
-            entry["empirical_failure_rate"] = entry["mismatches"] / max(args.trials, 1)
+            entry["empirical_failure_rate"] = entry["mismatches"] / args.trials
     summary = {
         "problem": args.problem,
         "trials": args.trials,
@@ -296,6 +296,28 @@ def _cmd_bench(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as every other input
+    error does: exit code 2 means a disagreement.  Subparsers share the
+    class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int of at least ``low``."""
+
+    def parse(text: str) -> int:
+        if (v := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {v}")
+        return v
+
+    parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    return parse
+
+
 def _solver_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
@@ -304,7 +326,7 @@ def _solver_options(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxconv",
         description="Solvers, reductions, and benchmarks for the max-plus convolution family.",
     )
@@ -314,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(handler=_cmd_gen)
     p_gen.add_argument("--problem", required=True, choices=PROBLEMS)
     p_gen.add_argument("--n", type=int, required=True, help="instance size")
-    p_gen.add_argument("--values", type=int, default=100, help="value magnitude bound")
+    p_gen.add_argument("--values", type=_int_at_least(0), default=100, help="value magnitude bound")
     p_gen.add_argument("--t", type=int, default=None, help="knapsack capacity")
     p_gen.add_argument("--k", type=int, default=None, help="tree sparsity size")
     p_gen.add_argument("--circle", type=int, default=None, help="necklace circumference")
@@ -332,9 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser("crosscheck", help="run every method on seeded random instances")
     p_cross.set_defaults(handler=_cmd_crosscheck)
     p_cross.add_argument("--problem", required=True, choices=PROBLEMS)
-    p_cross.add_argument("--trials", type=int, default=100)
-    p_cross.add_argument("--n", type=int, default=16, help="maximum instance size")
-    p_cross.add_argument("--values", type=int, default=32)
+    p_cross.add_argument("--trials", type=_int_at_least(1), default=100)
+    p_cross.add_argument("--n", type=_int_at_least(1), default=16, help="maximum instance size")
+    p_cross.add_argument("--values", type=_int_at_least(0), default=32)
     p_cross.add_argument("--t", type=int, default=None)
     _solver_options(p_cross)
 
@@ -343,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--problem", required=True, choices=PROBLEMS)
     p_bench.add_argument("--method", required=True)
     p_bench.add_argument("--sizes", required=True, help="comma-separated ascending sizes")
-    p_bench.add_argument("--values", type=int, default=100)
+    p_bench.add_argument("--values", type=_int_at_least(0), default=100)
     _solver_options(p_bench)
 
     return parser

@@ -405,12 +405,15 @@ class Decision:
         return self.holds
 
 
-def _require_equal_lengths(first: list, *rest: list) -> int:
-    n = len(first)
-    for seq in rest:
-        if len(seq) != n:
-            raise ValueError("sequences must have equal lengths")
-    return n
+def _equal_lists(*seqs: SequenceLike) -> tuple:
+    """``as_values`` of each argument, then their common length.  Every
+    argument is checked before the lengths are compared, so a non-integer
+    raises TypeError ahead of any length mismatch (ValueError)."""
+    vals = [as_values(s) for s in seqs]
+    n = len(vals[0])
+    if any(len(v) != n for v in vals):
+        raise ValueError("sequences must have equal lengths")
+    return (*vals, n)
 
 
 def check_upper_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Decision:
@@ -419,22 +422,28 @@ def check_upper_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Deci
     On failure the witness is the violating (i, j) with the smallest i + j,
     and among those the smallest i.
     """
-    av, bv, cv = as_values(a), as_values(b), as_values(c)
-    _require_equal_lengths(av, bv, cv)
+    av, bv, cv, _ = _equal_lists(a, b, c)
     return _dominates(av, bv, cv)
 
 
 def _dominates(av: list, bv: list, cv: list) -> Decision:
     """check_upper_bound on non-empty, equal-length lists that have already
-    passed the Sequence checks; it runs no check of its own."""
-    return _dominance_verdict(av, bv, cv, resolve_kernel()(av, bv, len(av) - 1))
+    passed the Sequence checks; it runs no check of its own.
 
-
-def _dominance_verdict(av: list, bv: list, cv: list, conv: list) -> Decision:
-    """_dominates' verdict on av, bv, cv, read off ``conv``: the convolution
-    of av and bv, or of shorter prefixes of them when every sum with an
-    entry left out is below every entry of cv (the outputs past the end
-    of ``conv`` are then never violated)."""
+    An entry of av whose sum with max(bv) is at most min(cv) is in no
+    violation, nor is such an entry of bv against max(av), so the one
+    kernel call leaves out each operand's trailing run of them (keeping at
+    least one entry).  The sums left out are at most min(cv): every output
+    is violated iff it is in the smaller product, and none past its end is,
+    so the first violated output and its witness are unchanged.
+    """
+    low, ra, rb = min(cv), len(av), len(bv)
+    top_a, top_b = max(av), max(bv)
+    while ra > 1 and av[ra - 1] + top_b <= low:
+        ra -= 1
+    while rb > 1 and bv[rb - 1] + top_a <= low:
+        rb -= 1
+    conv = resolve_kernel()(av[:ra], bv[:rb], min(len(cv), ra + rb - 1) - 1)
     if not any(map(gt, conv, cv)):
         return Decision(True)
     for k, (best, cap) in enumerate(zip(conv, cv)):
@@ -450,8 +459,7 @@ def check_lower_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Deci
 
     On failure the witness is the smallest k with no adequate decomposition.
     """
-    av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = _require_equal_lengths(av, bv, cv)
+    av, bv, cv, n = _equal_lists(a, b, c)
     conv = maxconv_values(av, bv, n - 1)
     for k in range(n):
         if conv[k] < cv[k]:

@@ -13,14 +13,9 @@ Inputs are checked where they enter: each public function runs the
 Sequence checks on its own arguments, once per call.  The default oracle
 is ``core._dominates``, the same dominance test as ``check_upper_bound``
 minus that check: it only ever sees slices of lists detect_single has
-already checked.  A caller-supplied oracle receives plain lists and is
-called once per query.
-
-With the default oracle, detect_violations answers each query with one
-kernel call on the window entries before the -K pads: a sum with a pad is
-at most w - K < -w, below every entry of c, so leaving the pads out gives
-the same Decision, witness included.  ``oracle_calls`` counts queries, and with the default
-oracle it equals the kernel calls.
+already checked.  Every oracle, the default included, receives plain
+lists and is called once per query; ``oracle_calls`` counts queries, and
+with the default oracle each is one kernel call.
 """
 
 from __future__ import annotations
@@ -29,16 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (
-    Decision,
-    Sequence,
-    SequenceLike,
-    _dominance_verdict,
-    _dominates,
-    _require_equal_lengths,
-    as_values,
-    resolve_kernel,
-)
+from .core import Decision, Sequence, SequenceLike, _dominates, _equal_lists
 
 UpperBoundOracle = Callable[[list, list, list], Decision]
 
@@ -67,8 +53,7 @@ def detect_single(
     three sequences contain a violation iff the smallest violated index is
     below p.  Uses at most ceil(log2 n) + 1 oracle calls.
     """
-    av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = _require_equal_lengths(av, bv, cv)
+    av, bv, cv, n = _equal_lists(a, b, c)
 
     def holds(p: int) -> bool:
         return bool(upper_bound_oracle(av[:p], bv[:p], cv[:p]))
@@ -99,16 +84,14 @@ def detect_violations(
     each hit is masked in a working copy of c with K, a constant exceeding
     all feasible sums, so it can never be reported again.  Out-of-range c
     entries read as K; a/b padding uses -K and therefore never violates.
-    The caller's c is left untouched.  With the default oracle each query
-    convolves only the entries before the pads (see the module docstring).
+    The caller's c is left untouched.
 
     K = 2*n*w + 1, with w = max(1, max |value|) over a, b and c.  Every
     window is a Sequence of length 2*s (s the interval length); the a and
     b windows are built once per call, so detect_single does not check
     them again on every search.  Values of any magnitude are exact.
     """
-    av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = _require_equal_lengths(av, bv, cv)
+    av, bv, cv, n = _equal_lists(a, b, c)
     w = max(1, max(max(abs(v) for v in vals) for vals in (av, bv, cv)))
     mask = 2 * n * w + 1
     pad = -mask
@@ -124,8 +107,6 @@ def detect_violations(
     def oracle(xa: list, xb: list, xc: list) -> Decision:
         nonlocal calls
         calls += 1
-        if upper_bound_oracle is _dominates:
-            return _dominates_before_pad(xa, xb, xc, pad)
         return upper_bound_oracle(xa, xb, xc)
 
     def window(vals: list, x: int) -> Sequence:
@@ -147,17 +128,6 @@ def detect_violations(
     return ViolationReport(tuple(violated), calls)
 
 
-def _dominates_before_pad(xa: list, xb: list, xc: list, pad: int) -> Decision:
-    """``_dominates`` on a window prefix whose a and b may end in ``pad``
-    entries.  A sum with a pad is below every entry of c, so the one kernel
-    call convolves only the entries before the first pad; outputs past its
-    end would only sum pads."""
-    ra = xa.index(pad) if xa[-1] == pad else len(xa)
-    rb = xb.index(pad) if xb[-1] == pad else len(xb)
-    conv = resolve_kernel()(xa[:ra], xb[:rb], min(len(xc), ra + rb - 1) - 1)
-    return _dominance_verdict(xa, xb, xc, conv)
-
-
 def max_conv_via_upperbound(
     a: SequenceLike,
     b: SequenceLike,
@@ -170,8 +140,7 @@ def max_conv_via_upperbound(
     finishing within ceil(log2(value range)) + 1 rounds.  The probes lie
     between min(a) + min(b) and max(a) + max(b).
     """
-    av, bv = as_values(a), as_values(b)
-    n = _require_equal_lengths(av, bv)
+    av, bv, n = _equal_lists(a, b)
     lo = [min(av) + min(bv)] * n
     hi = [max(av) + max(bv)] * n
     while any(l < h for l, h in zip(lo, hi)):

@@ -12,7 +12,7 @@ from operator import le
 
 import numpy as np
 
-from .core import Decision, SequenceLike, as_values
+from .core import Decision, SequenceLike, _equal_lists, as_values
 
 KNAPSACK_MODES = ("zero_one", "unbounded")
 
@@ -74,8 +74,10 @@ class ValueProfile:
 
     def __post_init__(self):
         b = self.best
-        # Any other iterable (a generator, say) would be spent by the checks.
-        if not isinstance(b, (tuple, list)):
+        # Kept as a tuple: a list would leave the profile unhashable and
+        # unequal to the same entries in a tuple, and any other iterable (a
+        # generator, say) would be spent by the checks.
+        if not isinstance(b, tuple):
             b = tuple(b)
             object.__setattr__(self, "best", b)
         if not b:
@@ -90,7 +92,7 @@ class ValueProfile:
             if vals and v < vals[-1]:
                 raise ValueError("profile entries must be non-decreasing")
             vals.append(v)
-        object.__setattr__(self, "best", vals if isinstance(b, list) else tuple(vals))
+        object.__setattr__(self, "best", tuple(vals))
 
     @property
     def capacity(self) -> int:
@@ -330,10 +332,7 @@ def three_sum_conv_brute(
     a: SequenceLike, b: SequenceLike, c: SequenceLike
 ) -> Decision:
     """Does some pair satisfy a[i] + b[j] = c[i+j] exactly (with i+j < n)?"""
-    av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = len(av)
-    if len(bv) != n or len(cv) != n:
-        raise ValueError("sequences must have equal lengths")
+    av, bv, cv, n = _equal_lists(a, b, c)
     for i in range(n):
         ai = av[i]
         for j in range(n - i):

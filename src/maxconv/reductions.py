@@ -16,7 +16,7 @@ from typing import Callable
 from .core import (
     Sequence,
     SequenceLike,
-    _require_equal_lengths,
+    _equal_lists,
     as_values,
     maxconv_values,
     normalize_nonneg_monotone,
@@ -131,8 +131,7 @@ def reduce_upperbound_to_superadditivity(
 
     Growth: one sequence of length 4n, entries in [0, 6K], K <= (2W+1)(n+1).
     """
-    av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = _require_equal_lengths(av, bv, cv)
+    av, bv, cv, n = _equal_lists(a, b, c)
     w = max(max(abs(v) for v in vals) for vals in (av, bv, cv))
     shift_c = w + 1
     shift_d = 2 * w + 1
@@ -311,8 +310,7 @@ def reduce_lowerbound_to_necklace(
     Growth: 2n beads per side, circumference 2M(S^2 n + S) <= 2(4W+3)(100n+10),
     with S = _ALIGN_SCALE = 10 and M <= 4W+3 the largest shifted entry.
     """
-    av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = _require_equal_lengths(av, bv, cv)
+    av, bv, cv, n = _equal_lists(a, b, c)
     w = max(max(abs(v) for v in vals) for vals in (av, bv, cv))
     c1 = c2 = w + 1
     a1 = [v + c1 for v in av]
@@ -373,8 +371,7 @@ def reduce_upperbound_to_3sumconv(
 
     Growth: 2 max(1, bit_length(3W)) instances of length n, |entries| <= 6W+1.
     """
-    av, bv, cv = as_values(a), as_values(b), as_values(c)
-    n = _require_equal_lengths(av, bv, cv)
+    av, bv, cv, n = _equal_lists(a, b, c)
     w = max(max(abs(v) for v in vals) for vals in (av, bv, cv))
     a1 = [v + w for v in av]
     b1 = [v + w for v in bv]

@@ -473,14 +473,30 @@ def _without_wall_time(out):
 
 def test_one_parser_serves_a_sequence_of_calls(tmp_path):
     # The parser is built once per process; calls after a bad argv must
-    # still answer as a fresh process does.
+    # still answer as a fresh process does.  Usage errors exit 1, like
+    # every other input error, and name the flag at fault; 2 is kept for
+    # a disagreement.
     inst = tmp_path / "k.json"
     inst.write_text(dump_instance("knapsack01", {"items": [[1, 3], [2, 4], [3, 9]], "capacity": 5}))
     solve = ["solve", "--input", str(inst), "--method", "rand", "--seed", "3"]
-    calls = [solve, ["gen", "--problem", "mcsp", "--n", "4", "--seed", "2"], ["solve"], solve]
+    cross = ["crosscheck", "--problem", "mcsp", "--seed", "1"]
+    gen = ["gen", "--problem", "mcsp", "--n", "4", "--seed", "2"]
+    calls = [
+        (solve, 0, ""),
+        (gen, 0, ""),
+        (["solve"], 1, "required: --input, --method"),
+        (solve, 0, ""),
+        (["solve", "--input", str(inst)], 1, "required: --method"),
+        (["crosscheck", "--problem", "nosuch"], 1, "argument --problem: invalid choice"),
+        ([*cross, "--n", "abc"], 1, "argument --n: invalid int value: 'abc'"),
+        ([*cross, "--trials", "-1"], 1, "argument --trials: must be at least 1, got -1"),
+        ([*cross, "--n", "0"], 1, "argument --n: must be at least 1, got 0"),
+        ([*gen, "--values", "-5"], 1, "argument --values: must be at least 0, got -5"),
+        ([*gen, "--values", "0"], 0, ""),
+        (solve, 0, ""),
+    ]
     env = {**os.environ, "PYTHONPATH": str(DOCS / "src")}
-    codes = []
-    for argv in calls:
+    for argv, want, message in calls:
         fresh = subprocess.run(
             [sys.executable, "-m", "maxconv.cli", *argv], capture_output=True, text=True, env=env
         )
@@ -493,8 +509,8 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path):
         assert code == fresh.returncode, argv
         assert _without_wall_time(out.getvalue()) == _without_wall_time(fresh.stdout), argv
         assert err.getvalue() == fresh.stderr, argv
-        codes.append(code)
-    assert codes == [0, 0, 2, 0]
+        assert code == want, argv
+        assert message in err.getvalue(), argv
     assert cli._build_parser() is cli._build_parser()
 
 

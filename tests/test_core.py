@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import maxconv
 from maxconv import core
 from maxconv import (
     KERNELS,
@@ -523,6 +524,31 @@ def test_length_mismatch_rejected():
         check_upper_bound([0, 1], [0], [0, 1])
     with pytest.raises(ValueError):
         check_lower_bound([0], [0, 1], [0])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "check_upper_bound",
+        "check_lower_bound",
+        "detect_single",
+        "detect_violations",
+        "max_conv_via_upperbound",
+        "reduce_upperbound_to_superadditivity",
+        "reduce_lowerbound_to_necklace",
+        "reduce_upperbound_to_3sumconv",
+        "three_sum_conv_brute",
+    ],
+)
+def test_every_equal_length_site_checks_values_before_lengths(name):
+    # One rule at each site: every argument gets the integer check
+    # (TypeError) before the lengths are compared (ValueError).
+    func = getattr(maxconv, name)
+    pair = name == "max_conv_via_upperbound"
+    with pytest.raises(ValueError, match="sequences must have equal lengths"):
+        func(*([[0, 1], [0]] if pair else [[0, 1], [0], [0, 1]]))
+    with pytest.raises(TypeError, match="sequence values must be integers"):
+        func(*([[0, 1], [0.5]] if pair else [[0, 1], [0], [0.5, 1]]))
 
 
 def test_is_superadditive_examples():

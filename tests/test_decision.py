@@ -3,9 +3,10 @@
 import math
 import random
 
+import pytest
+
 from maxconv import core
 from maxconv.core import _dominates
-from maxconv.decision import _dominates_before_pad
 from maxconv import (
     check_upper_bound,
     detect_single,
@@ -191,13 +192,12 @@ def _first_violating_pair(a, b, c):
     return None
 
 
-def test_window_oracle_matches_dominates_seed6001():
+def test_dominates_on_padded_windows_seed6001():
     # Windows built as detect_violations builds them, padded with -K (a, b)
-    # and K (c past n, and masked hits); every prefix query, in a shuffled
-    # order, gets the same Decision from the pad-trimmed oracle as from
-    # _dominates on the whole prefix, and the witness a brute-force scan
-    # finds.  c reaches -w, the least value it can hold, so a sum with a
-    # pad is tested against the tightest cap.
+    # and K (c past n, and masked hits): every prefix query, in a shuffled
+    # order, gets from _dominates the verdict and the witness a brute-force
+    # scan finds.  c reaches -w, the least value it can hold, so a sum with
+    # a pad is tested against the tightest cap.
     rng = random.Random(6001)
     lengths = [1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 35, 36, 37, 50]
     lengths += [rng.randint(1, 64) for _ in range(12)]
@@ -226,22 +226,21 @@ def test_window_oracle_matches_dominates_seed6001():
                 rng.shuffle(prefixes)
                 for p in prefixes:
                     args = a_loc[:p], b_loc[:p], c_loc[:p]
-                    got = _dominates_before_pad(*args, -mask)
-                    assert got == _dominates(*args)
-                    assert got.witness == _first_violating_pair(*args)
+                    got = _dominates(*args)
+                    want = _first_violating_pair(*args)
+                    assert (got.holds, got.witness) == (want is None, want)
 
 
 def test_default_oracle_reports_match_per_query_path_seed6002(monkeypatch):
-    # Both paths make one kernel call per oracle query; the default one
-    # never hands the kernel a pad.
-    kernel_calls, trimmed = 0, True
+    # Both paths make one kernel call per oracle query, and neither hands
+    # the kernel a pad.
+    kernel_calls = 0
     naive = core.KERNELS["naive"]
 
     def counted(a, b, limit):
         nonlocal kernel_calls
         kernel_calls += 1
-        if trimmed:
-            assert max(map(abs, a + b)) <= 30
+        assert max(map(abs, a + b)) <= 30
         return naive(a, b, limit)
 
     monkeypatch.setitem(core.KERNELS, "naive", counted)
@@ -255,14 +254,88 @@ def test_default_oracle_reports_match_per_query_path_seed6002(monkeypatch):
         c = maxconv_values(a, b, n - 1)
         for k in rng.sample(range(n), rng.randint(0, n)):
             c[k] += rng.randint(-4, 1)
-        kernel_calls, trimmed = 0, True
+        kernel_calls = 0
         default = detect_violations(a, b, c)
         assert kernel_calls == default.oracle_calls
-        kernel_calls, trimmed = 0, False
+        kernel_calls = 0
         queried = detect_violations(a, b, c, per_query)
         assert kernel_calls == queried.oracle_calls
         assert default == queried
-        trimmed = True
-        got = max_conv_via_upperbound(a, b)
-        trimmed = False
-        assert got == max_conv_via_upperbound(a, b, per_query)
+        assert max_conv_via_upperbound(a, b) == max_conv_via_upperbound(a, b, per_query)
+
+
+def _live(x, y, c):
+    """The length of x that _dominates convolves: the shortest prefix, at
+    least one entry, past which every entry plus max(y) is at most min(c)."""
+    top, low = max(y), min(c)
+    return next(r for r in range(1, len(x) + 1) if all(v + top <= low for v in x[r:]))
+
+
+def _tailed_triple(rng, n, w):
+    """(a, b, c) whose a and b often end in entries that cannot violate,
+    sometimes right after one whose sum with the other's max is min(c) + 1."""
+    a, b = rand_seq(rng, n, w), rand_seq(rng, n, w)
+    c = maxconv_values(a, b, n - 1)
+    for k in rng.sample(range(n), rng.randint(0, n)):
+        c[k] += rng.randint(-3, 1)
+    low = min(c)
+    for x, y in ((a, b), (b, a)):
+        cut, top = rng.randint(0, n), max(y)
+        x[cut:] = [low - top - rng.choice([0, 0, 1, 7]) for _ in range(n - cut)]
+        if cut and rng.random() < 0.5:
+            x[cut - 1] = low - top + 1
+    return a, b, c
+
+
+def _tailed_superadd(rng, n, w):
+    """A sequence ending in copies of its minimum m; with its max M <= 0
+    those cannot violate (m + M <= m), and M = 0 meets the bound exactly."""
+    a = [rng.randint(-w, 0) for _ in range(rng.randint(1, n))]
+    if rng.random() < 0.5:
+        a[0] = 0
+    low = min(a) - rng.randint(0, 3)
+    if len(a) < n and rng.random() < 0.5:
+        a[-1] = low + 1 - max(a)
+    return a + [low] * (n - len(a))
+
+
+@pytest.mark.parametrize("kernel", sorted(core.KERNELS))
+def test_dominates_leaves_out_the_tails_that_cannot_violate_seed6003(kernel, monkeypatch):
+    # The one kernel call gets a and b without their trailing entries whose
+    # sum with the other operand's max is at most min(c): an entry at that
+    # bound is left out, one at the bound + 1 is kept, and operands of
+    # nothing but such entries are cut to length 1.  Verdict and witness
+    # are those of the brute-force scan on the whole lists.
+    calls = []
+    inner = core.KERNELS[kernel]
+
+    def counted(a, b, limit):
+        calls.append((list(a), list(b), limit))
+        return inner(a, b, limit)
+
+    monkeypatch.setitem(core.KERNELS, kernel, counted)
+    monkeypatch.setattr(core, "DEFAULT_KERNEL", kernel)
+    rng = random.Random(6003)
+    sizes = [rng.randint(1, 12) for _ in range(150)] + [rng.randint(50, 90) for _ in range(20)]
+    triples = [_tailed_triple(rng, n, rng.choice([3, 40, 2**62])) for n in sizes]
+    triples += [(a, b, [2 * len(a) * 10 + 1] * len(a)) for a, b in
+                ([rand_seq(rng, n, 10), rand_seq(rng, n, 10)] for n in (1, 2, 7, 80))]
+    triples += [(a, a, a) for a in (_tailed_superadd(rng, n, 9) for n in sizes)]
+    triples += [([v] * n, [v] * n, [v] * n) for v in (0, -5) for n in (1, 3, 70)]
+    edges = set()
+    for a, b, c in triples:
+        n = len(a)
+        calls.clear()
+        got = is_superadditive(a) if a is b is c else check_upper_bound(a, b, c)
+        want = _first_violating_pair(a, b, c)
+        assert (got.holds, got.witness) == (want is None, want)
+        ra, rb = _live(a, b, c), _live(b, a, c)
+        assert calls == [(a[:ra], b[:rb], min(n, ra + rb - 1) - 1)]
+        for x, y, r in ((a, b, ra), (b, a, rb)):
+            if r < n and x[r] + max(y) == min(c):
+                edges.add((a is b, "left out at the bound"))
+            if r > 1 and x[r - 1] + max(y) == min(c) + 1:
+                edges.add((a is b, "kept at the bound + 1"))
+            if r == 1 < n:
+                edges.add((a is b, "cut to length 1"))
+    assert len(edges) == 6

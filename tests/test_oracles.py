@@ -231,7 +231,7 @@ def _reference_profile_check(best):
         if vals and v < vals[-1]:
             raise ValueError("profile entries must be non-decreasing")
         vals.append(v)
-    return vals if isinstance(best, list) else tuple(vals)
+    return tuple(vals)
 
 
 class _Small(enum.IntEnum):
@@ -281,6 +281,12 @@ def test_profile_check_matches_the_reference_loop(name):
     make = PROFILE_INPUTS[name]
     want = _profile_outcome(_reference_profile_check, make())
     assert _profile_outcome(lambda b: ValueProfile(b).best, make()) == want
+    if want[0] == "built":
+        # A list input is kept as a tuple, so the frozen profile hashes and
+        # equals its twin built from a tuple.
+        p = ValueProfile(make())
+        assert p == ValueProfile(tuple(p.best))
+        assert hash(p) == hash(ValueProfile(tuple(p.best)))
 
 
 @pytest.mark.parametrize(
