@@ -270,9 +270,6 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes or sizes != sorted(sizes):
-        raise InstanceFormatError("--sizes must be a comma-separated ascending list")
     solve = _method(args.problem, args.method)
     print(f"# platform: {platform.platform()}")
     print(f"# python: {platform.python_version()}  numpy: {np.__version__}")
@@ -280,7 +277,7 @@ def _cmd_bench(args) -> int:
     print("problem,method,size,median_seconds")
     rng = random.Random(args.seed)
     run_opts = _run_opts(args, args.seed)
-    for size in sizes:
+    for size in args.sizes:
         payload = gen_payload(args.problem, rng, {"n": size, "values": args.values})
         objs = payload_objects(args.problem, payload)
         times = []
@@ -316,6 +313,19 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
     return parse
+
+
+def _sizes(text: str) -> list[int]:
+    """An argparse type: a comma-separated ascending list of ints, each at least 1."""
+    try:
+        sizes = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        sizes = []
+    if not sizes or sizes != sorted(sizes) or sizes[0] < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated ascending list of ints of at least 1, got {text!r}"
+        )
+    return sizes
 
 
 def _solver_options(p: argparse.ArgumentParser) -> None:
@@ -364,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(handler=_cmd_bench)
     p_bench.add_argument("--problem", required=True, choices=PROBLEMS)
     p_bench.add_argument("--method", required=True)
-    p_bench.add_argument("--sizes", required=True, help="comma-separated ascending sizes")
+    p_bench.add_argument("--sizes", type=_sizes, required=True, help="comma-separated ascending sizes")
     p_bench.add_argument("--values", type=_int_at_least(0), default=100)
     _solver_options(p_bench)
 

@@ -4,8 +4,9 @@ The oracle answers "does c dominate the convolution of a and b?".  A
 prefix binary search locates the smallest violated output index; splitting
 the index range into roughly sqrt(n) intervals and masking found indices
 with a huge constant turns that into a scan reporting every violated
-index; finally a per-coordinate binary search on candidate values
-converges to the exact convolution.  With the quadratic oracle this is a
+index; finally a per-coordinate binary search on candidate values,
+started from a bracket that one pass over a and b gives, converges to
+the exact convolution.  With the quadratic oracle this is a
 correctness construction, not a speedup, and the module is written for
 auditability rather than pace.
 
@@ -79,12 +80,14 @@ def detect_violations(
     """Report every violated output index, each exactly once.
 
     The index range is cut into ceil(sqrt(n)) intervals.  For every
-    interval pair the subproblem is translated to local coordinates (the
-    relevant c window spans two intervals) and detect_single is repeated;
-    each hit is masked in a working copy of c with K, a constant exceeding
-    all feasible sums, so it can never be reported again.  Out-of-range c
-    entries read as K; a/b padding uses -K and therefore never violates.
-    The caller's c is left untouched.
+    interval pair (x, y) with x + y < blocks the subproblem is translated
+    to local coordinates (the relevant c window spans two intervals) and
+    detect_single is repeated; each hit is masked in a working copy of c
+    with K, a constant exceeding all feasible sums, so it can never be
+    reported again.  Out-of-range c entries read as K; a/b padding uses -K
+    and therefore never violates.  A pair with x + y >= blocks starts its
+    c window at or past n, so the window is all K and is not searched:
+    blocks * (blocks + 1) / 2 pairs are.  The caller's c is left untouched.
 
     K = 2*n*w + 1, with w = max(1, max |value|) over a, b and c.  Every
     window is a Sequence of length 2*s (s the interval length); the a and
@@ -116,7 +119,7 @@ def detect_violations(
     b_locs = [window(bv, y) for y in range(blocks)]
     for x in range(blocks):
         a_loc = window(av, x)
-        for y, b_loc in enumerate(b_locs):
+        for y, b_loc in enumerate(b_locs[: blocks - x]):
             base = (x + y) * s
             c_loc = cw[base : base + 2 * s]
             c_loc += [mask] * (2 * s - len(c_loc))
@@ -135,14 +138,13 @@ def max_conv_via_upperbound(
 ) -> Sequence:
     """Equal-length max-plus convolution using only the decision oracle.
 
-    Keeps per-index bounds lo..hi on the answer; each round probes the
-    midpoints, marks the violated coordinates, and halves every interval,
-    finishing within ceil(log2(value range)) + 1 rounds.  The probes lie
-    between min(a) + min(b) and max(a) + max(b).
+    Keeps per-index bounds lo..hi on the answer, started from _bracket;
+    each round probes the midpoints, marks the violated coordinates, and
+    halves every interval, finishing within ceil(log2(value range)) + 1
+    rounds.  The probes lie between min(a) + min(b) and max(a) + max(b).
     """
     av, bv, n = _equal_lists(a, b)
-    lo = [min(av) + min(bv)] * n
-    hi = [max(av) + max(bv)] * n
+    lo, hi = _bracket(av, bv)
     while any(l < h for l, h in zip(lo, hi)):
         cand = [(l + h) // 2 for l, h in zip(lo, hi)]
         report = detect_violations(av, bv, cand, upper_bound_oracle)
@@ -152,3 +154,23 @@ def max_conv_via_upperbound(
             else:
                 hi[k] = cand[k]
     return Sequence(lo)
+
+
+def _bracket(av: list, bv: list) -> tuple[list, list]:
+    """Per-output bounds lo[k] <= max_{i+j=k} (a[i] + b[j]) <= hi[k].
+
+    hi[k] = max(a[:k+1]) + max(b[:k+1]), since every split of k has
+    i, j <= k.  lo[k] is the best of four real sums a[i] + b[k-i]: i = 0,
+    i = k, i at the first argmax of a[:k+1], and k - i at that of b[:k+1].
+    One pass over the lists, with no oracle call.
+    """
+    lo, hi = [], []
+    ia = ib = 0
+    for k, (x, y) in enumerate(zip(av, bv)):
+        if x > av[ia]:
+            ia = k
+        if y > bv[ib]:
+            ib = k
+        hi.append(av[ia] + bv[ib])
+        lo.append(max(av[0] + y, x + bv[0], av[ia] + bv[k - ia], av[k - ib] + bv[ib]))
+    return lo, hi

@@ -556,10 +556,14 @@ def test_bench_outputs_csv():
 
 
 def test_bench_rejects_unsorted_sizes():
-    code, _ = run_cli(
-        ["bench", "--problem", "maxconv", "--method", "naive", "--sizes", "16,8"]
-    )
-    assert code == 1
+    # Every refusal is a usage error naming --sizes, made before the CSV
+    # header is printed.
+    for sizes in ("16,8", "0", "4,a", "-2,4", ""):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["bench", "--problem", "maxconv", "--method", "naive", f"--sizes={sizes}"])
+        assert (exc.value.code, out.getvalue()) == (1, ""), sizes
+        assert "argument --sizes: must be a comma-separated ascending list" in err.getvalue(), sizes
 
 
 def test_uknapsack_unbounded_objective_is_an_input_error(tmp_path):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from maxconv import core
+from maxconv import core, decision
 from maxconv.core import _dominates
 from maxconv import (
     check_upper_bound,
@@ -103,9 +103,67 @@ def test_detect_violations_call_accounting():
             m += 1
         s = -(-n // m)
         blocks = -(-n // s)
-        singles = blocks * blocks + len(marks)
+        singles = blocks * (blocks + 1) // 2 + len(marks)
         per_single = math.ceil(math.log2(2 * s)) + 1
         assert report.oracle_calls <= singles * per_single
+
+
+def test_detect_violations_skips_the_pairs_past_n(monkeypatch):
+    # A pair (x, y) with x + y >= blocks has a c window that starts at or
+    # past n, all K: with a c that dominates, each pair before that makes
+    # exactly one search, and no other pair makes one.
+    searches = []
+    inner = decision.detect_single
+
+    def counted(a, b, c, oracle):
+        searches.append(len(c))
+        return inner(a, b, c, oracle)
+
+    monkeypatch.setattr(decision, "detect_single", counted)
+    rng = random.Random(6004)
+    for n in [1, 2, 3, 4, 5, 8, 9, 10, 16, 17, 24, 25, 26, 48, 128] + [rng.randint(1, 99) for _ in range(10)]:
+        a, b = rand_seq(rng, n, 50), rand_seq(rng, n, 50)
+        c = [v + rng.randint(0, 2) for v in maxconv_values(a, b, n - 1)]
+        searches.clear()
+        report = detect_violations(a, b, c)
+        s, blocks = _blocks(n)
+        assert not any(report.violated)
+        assert searches == [2 * s] * (blocks * (blocks + 1) // 2)
+        assert report.oracle_calls == len(searches)
+
+
+def _shaped(rng, shape, n, w):
+    vals = [rng.randint(-w, w) for _ in range(n)]
+    if shape == "non-decreasing":
+        return sorted(vals)
+    if shape == "non-increasing":
+        return sorted(vals, reverse=True)
+    if shape == "constant":
+        return [vals[0]] * n
+    spike = [rng.randint(-3, 3) for _ in range(n)]
+    spike[rng.randrange(n)] = rng.choice([-w, w])
+    return spike
+
+
+SHAPES = ["non-decreasing", "non-increasing", "constant", "spike"]
+
+
+def test_via_upperbound_on_shaped_operands_seed6005():
+    # Monotone, constant and one-spike operands put the argmax of each
+    # prefix at its start, at its end, everywhere and at one place: every
+    # starting bracket holds the answer, and the bisection from it is exact
+    # through the default oracle and through a caller-supplied one.
+    rng = random.Random(6005)
+    for n in (1, 2, 3, 17, 48):
+        for sa in SHAPES:
+            for sb in SHAPES:
+                w = rng.choice([1, 30, 2**40, 2**70])
+                a, b = _shaped(rng, sa, n, w), _shaped(rng, sb, n, w)
+                want = max_conv(a, b, limit=n - 1)
+                lo, hi = decision._bracket(a, b)
+                assert all(l <= v <= h for l, v, h in zip(lo, want, hi)), (sa, sb, n)
+                assert max_conv_via_upperbound(a, b) == want
+                assert max_conv_via_upperbound(a, b, check_upper_bound) == want
 
 
 def test_via_upperbound_trivial_and_small():
