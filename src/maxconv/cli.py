@@ -389,6 +389,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # A capacity within the index range whose t + 1 entries do not fit.
+    except MemoryError:
+        print("error: memory ran out: the instance is too large to solve", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

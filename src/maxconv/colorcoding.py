@@ -4,21 +4,20 @@ Items are split into weight layers so that layer i can contribute at most
 2^i items to any feasible packing.  Within a layer, a random partition
 spreads any small solution across parts with constant probability, a few
 repetitions boost that to 1 - delta, and part profiles (choose at most one
-item) are folded together.  A part profile is a step function and the
-profile it joins is non-decreasing, so that join is the maximum of a few
-shifted copies, one per jump of the step function: O(t) numpy work per
-jump instead of a quadratic kernel call.  Layer merges and the final
-accumulation are truncated max-plus convolutions on the default kernel;
-both of their operands are non-decreasing profiles, usually with few
-distinct values, so the kernel folds them on its run path, one shifted
-copy per run of equal values, instead of enumerating every cell.  Trial
-profiles are int64 arrays when the positive item values sum to at most
-2^63 - 1 and Python ints otherwise, so every profile is exact at every
-magnitude.  Error is one-sided: every profile entry produced anywhere is
-achievable by a real subset of items, so results never exceed the exact
-optimum.  For the same reason a trial that puts every item in a part of its
-own is final: its profile is the exact optimum, so color coding stops there
-and the trial count is an upper bound.
+item) are folded together.  Every operand of every join here is a
+non-decreasing profile, so each join is one fold (``_fold``): the maximum
+of a few shifted copies of one profile, one per jump of the other, O(t)
+numpy work per jump instead of a quadratic kernel call.  A part join folds
+the part profile's jumps into the trial's profile; the layer merges and
+the final accumulation (``_merge``) fold the jumps of whichever profile has
+fewer.  No join calls a convolution kernel.  Trial profiles are int64
+arrays when the positive item values sum to at most 2^63 - 1 and Python
+ints otherwise, so every profile is exact at every magnitude.  Error is
+one-sided: every profile entry produced anywhere is achievable by a real
+subset of items, so results never exceed the exact optimum.  For the same
+reason a trial that puts every item in a part of its own is final: its
+profile is the exact optimum, so color coding stops there and the trial
+count is an upper bound.
 
 Randomness is fully reproducible: a single integer seed feeds a splittable
 numpy SeedSequence, one child per layer / trial / partition draw, and all
@@ -32,7 +31,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import WORD_MAX, maxconv_values
+from .core import WORD_MAX
 from .oracles import ValueProfile, _check_int, _check_items
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -59,10 +58,10 @@ def _seedseq(rng: SeedLike) -> np.random.SeedSequence:
 
 
 def _part_steps(part: list[tuple[int, int]], limit: int) -> list[tuple[int, int]]:
-    """Jumps (w, value) of the part profile, in increasing w: the items that
-    fit the limit and are worth more than every lighter or equally heavy
-    item listed before them."""
-    steps = []
+    """Jumps (w, value) of the part profile, in increasing w: (0, 0), then
+    the items that fit the limit and are worth more than every lighter or
+    equally heavy item listed before them."""
+    steps = [(0, 0)]
     run = 0
     for w, v in sorted(part, key=lambda item: (item[0], -item[1])):
         if w > limit:
@@ -73,22 +72,51 @@ def _part_steps(part: list[tuple[int, int]], limit: int) -> list[tuple[int, int]
     return steps
 
 
-def _join_part(cur: np.ndarray, part: list[tuple[int, int]]) -> np.ndarray:
-    """(max,+) join of a non-decreasing profile with the part profile,
-    truncated at len(cur) - 1, in cur's dtype (see _profile_dtype).
+def _fold(x: np.ndarray, steps: list[tuple[int, int]], limit: int) -> np.ndarray:
+    """(max,+) join of a non-decreasing profile x with a step profile,
+    truncated at ``limit``, in x's dtype (see _profile_dtype).
 
-    Because cur is non-decreasing, the best split inside a constant stretch
-    of the part profile takes its lightest point, so the join is cur
-    maximised with cur shifted right by w plus the value, for each jump.
+    ``steps`` are the step profile's jumps (w, value) in increasing w, the
+    first at w = 0 and none past ``limit``.  Inside the stretch [w, e) of
+    one jump, every split of an output k adds the same value and x is
+    non-decreasing, so the best split takes the largest index of x there:
+    the join is the maximum over the jumps of x shifted right by w plus the
+    value.  Past its end x is read as its last entry.  That is exact for
+    ``limit <= len(x) + len(other) - 2``, where other is the step profile's
+    length: where the split that x[-1] stands for leaves [w, e), x[-1] plus
+    the other profile's entry at that split is a real sum at least as large.
     """
-    limit = len(cur) - 1
-    steps = _part_steps(part, limit)
-    out = cur.copy()
-    buf = np.empty_like(cur)
-    for w, v in steps:
-        shifted = np.add(cur[: limit + 1 - w], v, out=buf[: limit + 1 - w])
+    (_, head), *rest = steps
+    if len(x) <= limit:
+        x = np.concatenate((x, np.full(limit + 1 - len(x), x[-1], dtype=x.dtype)))
+    out = x[: limit + 1].copy()
+    if head:
+        out += head
+    buf = np.empty_like(out)
+    for w, v in rest:
+        shifted = np.add(x[: limit + 1 - w], v, out=buf[: limit + 1 - w])
         np.maximum(out[w:], shifted, out=out[w:])
     return out
+
+
+def _join_part(cur: np.ndarray, part: list[tuple[int, int]]) -> np.ndarray:
+    """(max,+) join of a non-decreasing profile with the part profile,
+    truncated at len(cur) - 1, in cur's dtype (see _profile_dtype)."""
+    limit = len(cur) - 1
+    return _fold(cur, _part_steps(part, limit), limit)
+
+
+def _merge(p: np.ndarray, q: np.ndarray, limit: int) -> np.ndarray:
+    """(max,+)-convolution of two non-decreasing profiles of one dtype (see
+    _profile_dtype), truncated at ``limit <= len(p) + len(q) - 2``: the
+    jumps of the one with fewer up to ``limit`` folded into the other."""
+    assert limit <= len(p) + len(q) - 2
+    p, q = p[: limit + 1], q[: limit + 1]
+    jp, jq = (np.flatnonzero(y[1:] != y[:-1]) + 1 for y in (p, q))
+    if len(jp) < len(jq):
+        p, q, jq = q, p, jp
+    at = [0, *jq.tolist()]
+    return _fold(p, list(zip(at, q[at].tolist())), limit)
 
 
 def _profile_dtype(items: list[tuple[int, int]]):
@@ -184,6 +212,7 @@ def color_coding_layer(
     m = 1 << max(0, math.ceil(math.log2(l / log_ld)))
     gamma = max(1, math.ceil(6 * log_ld))
     cap = min(t, math.ceil(2 * gamma * t / l))
+    dtype = _profile_dtype(zs)
     seqs = root.spawn(m + 1)
     gen = np.random.Generator(np.random.PCG64(seqs[0]))
     parts: list[list[tuple[int, int]]] = [[] for _ in range(m)]
@@ -191,20 +220,17 @@ def color_coding_layer(
         for item, part in zip(zs, gen.integers(0, m, size=len(zs))):
             parts[int(part)].append(item)
     profs = [
-        list(color_coding(parts[j], cap, gamma, share, seqs[j + 1]).best)
+        np.array(color_coding(parts[j], cap, gamma, share, seqs[j + 1]).best, dtype=dtype)
         for j in range(m)
     ]
     level = 1
     while len(profs) > 1:
         cap = min(t, math.ceil((2**level) * 2 * gamma * t / l))
-        profs = [
-            maxconv_values(profs[2 * j], profs[2 * j + 1], cap)
-            for j in range(len(profs) // 2)
-        ]
+        profs = [_merge(profs[2 * j], profs[2 * j + 1], cap) for j in range(len(profs) // 2)]
         level += 1
     out = profs[0]
     assert len(out) == t + 1
-    return ValueProfile(tuple(out))
+    return ValueProfile(tuple(out.tolist()))
 
 
 def knapsack_rand(
@@ -239,10 +265,11 @@ def knapsack_rand(
                 break
         buckets[layer].append((w, v))
     seqs = root.spawn(layers)
-    acc = [0] * (t + 1)
+    dtype = _profile_dtype(zs)
+    acc = np.zeros(t + 1, dtype=dtype)
     for i in range(1, layers + 1):
         if not buckets[i]:
             continue
         prof = color_coding_layer(buckets[i], t, 1 << i, share, seqs[i - 1])
-        acc = maxconv_values(acc, list(prof.best), t)
-    return ValueProfile(tuple(acc))
+        acc = _merge(acc, np.array(prof.best, dtype=dtype), t)
+    return ValueProfile(tuple(acc.tolist()))

@@ -14,8 +14,7 @@ output sequence and the self-dominance (superadditivity) test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, islice
-from operator import gt, le, lt, ne
+from operator import gt
 from typing import Callable, Iterable, Union
 
 import numpy as np
@@ -139,29 +138,15 @@ def _maxconv_plain(a: list, b: list, limit: int) -> list:
 
 
 def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
-    """The same quadratic enumeration, vectorised a tile of rows at a time,
-    or one shifted copy per run of equal values where both operands are
-    non-decreasing.
+    """The same quadratic enumeration, vectorised a tile of rows at a time.
 
     Calls of at most ``_VECTOR_CUTOFF`` cells run the plain loop.  Operands
     whose span, values or extreme sums (``min a + min b``,
     ``max a + max b``) leave the 64-bit word take the plain loop too, which
-    is exact on Python ints, so no sum ever wraps.
+    is exact on Python ints, so no sum ever wraps.  Every other call runs
+    the tiles.
 
-    Run path: when both operands are non-decreasing up to index ``limit``
-    and the one with fewer runs of equal values there, y, has at most an
-    eighth as many runs as the shorter operand has entries up to
-    ``limit``, the product is folded run by run in int64.  For a run
-    ``y[s..e]`` of value v and an output k, the splits ``k = i + j`` with j
-    in the run all add v, and x is non-decreasing, so the best one takes
-    the largest i: ``j = s`` while ``k - s`` indexes x, else the last x
-    entry, ``j = k - len(x) + 1``, as long as that j is still in the run.
-    So the run gives ``v + x[k - s]`` for ``k`` in
-    ``[s, s + len(x) - 1]`` and ``v + x[-1]`` for ``k`` in
-    ``[s + len(x), e + len(x) - 1]``, and the maximum over the runs is the
-    exact product.  Its work is runs x outputs instead of rows x outputs.
-
-    Tiled path: both operands are shifted by their minimum, so every sum is
+    Tiles: both operands are shifted by their minimum, so every sum is
     non-negative and at most the shifted span
     ``(max a - min a) + (max b - min b)``; the sums are taken in int32 when
     that span fits, else in int64, and shifted back once at the end.  Each
@@ -186,87 +171,10 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
         or max(hi_a, hi_b, hi_a + hi_b) > WORD_MAX
     ):
         return _maxconv_plain(a, b, limit)
-    runs = _run_operands(a, b, limit)
-    if runs is not None:
-        return _run_maxconv(*runs, limit)
     lane = np.int32 if span <= _LANE_RANGE[np.int32][1] else np.int64
     out = _tiled_maxconv(a, lo_a, b, lo_b, limit, lane)
     out = out.astype(np.int64, copy=False)
     out += lo_a + lo_b
-    return out.tolist()
-
-
-def _run_starts(v: list, n: int, cap: int) -> list | None:
-    """Start indices of the runs of equal values in ``v[:n]``, or None when
-    there are more than ``cap`` runs: the scan stops at the first one past
-    it."""
-    starts = [0, *islice(compress(count(1), map(ne, v, islice(v, 1, n))), cap)]
-    return starts if len(starts) <= cap else None
-
-
-def _ascending(v: list) -> bool:
-    """Whether ``v`` is non-decreasing."""
-    return all(map(le, v, islice(v, 1, None)))
-
-
-def _rising(v: list, starts: list) -> bool:
-    """Whether ``v`` rises from each run to the next, i.e. is non-decreasing
-    over the runs that begin at ``starts``."""
-    heads = [v[s] for s in starts]
-    return all(map(lt, heads, heads[1:]))
-
-
-def _run_operands(a: list, b: list, limit: int) -> tuple | None:
-    """``(x, y, y's run starts)`` when the run path applies to the call
-    (``a`` the shorter operand), else None.
-
-    Only the entries up to ``limit`` take part.  Both operands must be
-    non-decreasing there, and y, the one with fewer runs, may have at most
-    an eighth as many runs as ``a`` has entries: the fold then does at most
-    an eighth of the tiles' cell work.  A strided sample of a
-    non-decreasing prefix is non-decreasing, so operands that fail on about
-    32 sampled entries decline before any run is counted; run counts stop
-    at the cap, so a call of rising operands with many runs declines after
-    scanning about cap entries of each.
-    """
-    n = limit + 1
-    step = max(1, n // 32)
-    if not (_ascending(a[:n:step]) and _ascending(b[:n:step])):
-        return None
-    cap = min(len(a), n) // 8
-    sa, sb = _run_starts(a, n, cap), _run_starts(b, n, cap)
-    if sa is None and sb is None:
-        return None
-    if sb is None or (sa is not None and len(sa) <= len(sb)):
-        x, sx, y, sy = b, sb, a, sa
-    else:
-        x, sx, y, sy = a, sa, b, sb
-    if not _rising(y, sy):
-        return None
-    x_rises = _rising(x, sx) if sx is not None else _ascending(x[:n])
-    return (x, y, sy) if x_rises else None
-
-
-def _run_maxconv(x: list, y: list, starts: list, limit: int) -> list:
-    """(max,+)-convolution up to ``limit`` of non-decreasing ``x`` and
-    ``y``, one shifted copy of x per run of y (see maxconv_numpy_kernel).
-    The caller has checked that every sum fits int64."""
-    n = min(len(x), limit + 1)
-    xv = np.array(x[:n], dtype=np.int64)
-    last = x[n - 1]
-    buf = np.empty(n, dtype=np.int64)
-    # Every output gets a real sum: the runs cover y up to limit, and each
-    # one reaches every k from its start to its end plus n - 1.
-    out = np.full(limit + 1, _LANE_RANGE[np.int64][0], dtype=np.int64)
-    for s, e in zip(starts, [*starts[1:], min(len(y), limit + 1)]):  # y[s:e] == v
-        v = y[s]
-        w = min(n, limit + 1 - s)
-        seg = out[s : s + w]
-        np.maximum(seg, np.add(xv[:w], v, out=buf[:w]), out=seg)
-        # Past k = s + n - 1 the split j = k - n + 1 clips x at its last entry.
-        seg = out[s + n : e + n - 1]
-        if len(seg):
-            np.maximum(seg, last + v, out=seg)
     return out.tolist()
 
 

@@ -454,6 +454,22 @@ def test_solve_capacity_past_the_index_range_is_an_input_error(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "problem, method",
+    [("knapsack01", "dp"), ("knapsack01", "rand"), ("uknapsack", "dp"), ("uknapsack", "via-01")],
+)
+def test_solve_capacity_past_memory_is_an_input_error(tmp_path, problem, method):
+    # 10**15 + 1 entries of 8 bytes are more memory than any host has, so
+    # the allocation fails at once: MemoryError, which main reports as an
+    # input error.
+    path = tmp_path / "huge.json"
+    payload = {"items": [[1, 2]], "capacity": 10**15}
+    path.write_text(json.dumps({"problem": problem, "payload": payload}))
+    code, out, err = _solve(["--input", str(path), "--method", method])
+    assert (code, out) == (1, "")
+    assert err == "error: memory ran out: the instance is too large to solve\n"
+
+
 def test_solve_exit_codes(tmp_path):
     code, _ = run_cli(["solve", "--input", str(tmp_path / "missing.json"), "--method", "naive"])
     assert code == 1

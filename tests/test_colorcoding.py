@@ -16,10 +16,10 @@ from maxconv import (
     knapsack_rand,
 )
 from maxconv import colorcoding
-from maxconv.colorcoding import _join_part
+from maxconv.colorcoding import _join_part, _merge
 from maxconv.core import maxconv_values
 
-from helpers import rand_items
+from helpers import brute_maxconv, rand_items
 
 # sha256 over the profiles of test_profiles_are_pinned_by_seed, in its loop
 # order, recorded while every part join still ran on the dense kernel.  Any
@@ -115,6 +115,38 @@ def test_layer_against_dp_seed5003():
         runs += 1
         hits += prof[t] == dp[t]
     assert hits >= int(0.75 * runs) - 4 * int(runs**0.5)
+
+
+def test_layer_parameters_seed5012(monkeypatch):
+    # l = 1024, delta = 1/4: log2(l/delta) = 12, so m = 2^ceil(log2(1024/12))
+    # = 128 parts, gamma = ceil(6 * 12) = 72 items per part at capacity
+    # ceil(2 * 72 * t / l) = 288, and merge level h of seven caps at
+    # min(t, 2^h * 288): 576, 1152, then t.
+    solves, merges = [], []
+    solve, merge = colorcoding.color_coding, colorcoding._merge
+
+    def recorded_solve(items, t, k, delta, rng):
+        solves.append((t, k, delta))
+        return solve(items, t, k, delta, rng)
+
+    def recorded_merge(p, q, limit):
+        merges.append((len(p), len(q), limit))
+        return merge(p, q, limit)
+
+    monkeypatch.setattr(colorcoding, "color_coding", recorded_solve)
+    monkeypatch.setattr(colorcoding, "_merge", recorded_merge)
+    rng = random.Random(5012)
+    t, l = 2048, 1024
+    items = [(rng.randint(1, 4), rng.randint(0, 50)) for _ in range(40)]
+    prof = color_coding_layer(items, t, l, 0.25, 7)
+    assert solves == [(288, 72, 0.25 / l)] * 128
+    caps = [288, 576, 1152, 2048, 2048, 2048, 2048, 2048]
+    want = []
+    for h in range(1, 8):
+        want += [(caps[h - 1] + 1, caps[h - 1] + 1, caps[h])] * (128 >> h)
+    assert merges == want
+    dp = knapsack01_dp(KnapsackInstance(tuple(items), t))
+    assert len(prof) == t + 1 and all(x <= y for x, y in zip(prof, dp))
 
 
 def test_knapsack_rand_example_instance():
@@ -225,6 +257,58 @@ def test_join_part_matches_dense_join_seed5007():
         best = [max([0] + [v for w, v in part if w <= cap]) for cap in range(limit + 1)]
         assert got.tolist() == maxconv_values(cur, best, limit)
         assert arr.tolist() == cur  # the input profile is left as it was
+
+
+def _rising(rng: random.Random, n: int) -> list:
+    """Non-decreasing and non-negative: a random head, then flat stretches
+    and jumps."""
+    out = [rng.choice([0, 0, rng.randint(1, 9)])]
+    for _ in range(n - 1):
+        out.append(out[-1] + rng.choice([0, 0, rng.randint(1, 9)]))
+    return out
+
+
+def _merge_cases(rng: random.Random):
+    yield [5], [7]
+    yield [0, 1, 2, 3, 4], [3, 4, 6, 7, 8, 9, 11]  # every entry a jump
+    yield [4] * 6, [0, 0, 9, 9, 9, 12, 20]  # a single run
+    yield [2, 2, 3], [0] * 9
+    for _ in range(80):
+        yield _rising(rng, rng.randint(1, 14)), _rising(rng, rng.randint(1, 14))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+def test_merge_matches_brute_force_seed5011(dtype):
+    # Every limit up to the full product; object profiles past the word too.
+    rng = random.Random(5011)
+    for case, (p, q) in enumerate(_merge_cases(rng)):
+        if dtype is object and case % 2:
+            p, q = [v + 2**64 for v in p], [v + 2**65 for v in q]
+        pa, qa = np.array(p, dtype=dtype), np.array(q, dtype=dtype)
+        for limit in range(len(p) + len(q) - 1):
+            got = _merge(pa, qa, limit)
+            assert got.dtype == dtype
+            assert got.tolist() == brute_maxconv(p, q, limit), (p, q, limit)
+        assert pa.tolist() == p and qa.tolist() == q  # inputs left as they were
+        with pytest.raises(AssertionError):
+            _merge(pa, qa, len(p) + len(q) - 1)
+
+
+def test_merge_sums_reach_the_word_exactly():
+    # The largest sums are 2^63 - 1 exactly, also where the shorter
+    # profile is read past its end as its last entry.
+    word = 2**63 - 1
+    for p, q in (
+        ([0, 2**62], [0, 3, 2**61, 2**62 - 1]),
+        ([1, 5, 2**62], [2, 2**62 - 2, 2**62 - 1]),
+        ([2**62] * 3, [2**62 - 1] * 2),
+    ):
+        for x, y in ((p, q), (q, p)):
+            for limit in range(len(x) + len(y) - 1):
+                want = brute_maxconv(x, y, limit)
+                got = _merge(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), limit)
+                assert got.tolist() == want, (x, y, limit)
+            assert want[-1] == word
 
 
 @pytest.mark.parametrize("items, t, dense", HUGE)

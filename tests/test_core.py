@@ -231,8 +231,7 @@ def _tile_count(la: int, lb: int, limit: int) -> int:
 
 def _tiles_run(monkeypatch, a: list, b: list, lane, limit: int | None = None) -> tuple[int, int]:
     """(tiles added, tiles visited) by the tiled path on a, b in ``lane``.
-    Its answer and the default kernel's, which may take the run path
-    instead, are checked against brute force."""
+    Its answer and the default kernel's are checked against brute force."""
     want = brute_maxconv(a, b, limit)
     assert maxconv_values(a, b, limit) == want
     if len(a) > len(b):
@@ -330,13 +329,13 @@ def _steps(rng: random.Random, n: int, runs: int, lo: int, hi: int) -> list:
 
 
 def _run_cases():
-    """name -> (a, b, limits): non-decreasing pairs that take the run path
-    at every limit listed (None is the full product)."""
+    """name -> (a, b, limits): non-decreasing pairs with long runs of equal
+    values, at the limits listed (None is the full product)."""
     rng = random.Random(1013)
     edge = WORD_MAX // 2
     return {
-        # the shorter operand is shorter than limit + 1, so long runs of the
-        # other reach outputs past its end: the clipped candidate x[-1] + v
+        # the shorter operand is shorter than limit + 1, so outputs past its
+        # end pair its last entry with long runs of the other
         "clipped, long runs": (
             _steps(rng, 40, 9, 0, 500), _steps(rng, 300, 3, 0, 50), (None, 250, 60)
         ),
@@ -367,94 +366,23 @@ def _run_cases():
 RUN_CASES = _run_cases()
 
 
-@pytest.fixture
-def run_calls(monkeypatch):
-    """The (x, y) of every call that takes the run path."""
-    seen = []
-    fold = core._run_maxconv
-
-    def record(x, y, starts, limit):
-        seen.append((x, y))
-        return fold(x, y, starts, limit)
-
-    monkeypatch.setattr(core, "_run_maxconv", record)
-    return seen
-
-
 @pytest.mark.parametrize("name", sorted(RUN_CASES))
-def test_run_path_matches_brute_force(name, run_calls, lanes):
+def test_run_path_matches_brute_force(name):
     a, b, limits = RUN_CASES[name]
     for limit in limits:
         want = brute_maxconv(a, b, limit)
         assert maxconv_values(a, b, limit) == want, limit
         assert maxconv_values(b, a, limit) == want, limit
         assert maxconv_values(a, b, limit, "python") == want, limit
-    assert len(run_calls) == 2 * len(limits)
-    assert lanes == []
 
 
-def test_run_path_at_the_run_cap(run_calls, lanes):
-    # y may have an eighth as many runs as the shorter operand has entries
-    # up to the limit: 80 entries allow 10 runs, not 11.
-    rng = random.Random(1014)
-    for runs, path in ((10, 1), (11, 0)):
-        a, b = _steps(rng, 80, runs, 0, 99), _steps(rng, 200, 60, 0, 999)
-        for limit in (None, 79):
-            assert maxconv_values(a, b, limit) == brute_maxconv(a, b, limit)
-        assert (len(run_calls), len(lanes)) == (2 * path, 2 * (1 - path)), runs
-        run_calls.clear()
-        lanes.clear()
-    # With the limit below the shorter length, the cap follows the limit:
-    # 5 runs up to index 36 are too many for 37 entries, though not for 200,
-    # and 5 runs up to index 44 are few enough for 45.
-    a = [i // 9 for i in range(200)]
-    assert maxconv_values(a, a, 36) == brute_maxconv(a, a, 36)
-    assert (len(run_calls), len(lanes)) == (0, 1)
-    assert maxconv_values(a, a, 44) == brute_maxconv(a, a, 44)
-    assert (len(run_calls), len(lanes)) == (1, 1)
-
-
-def test_run_path_reads_only_the_entries_up_to_the_limit(run_calls, lanes):
-    # A descent or a jump past the limit changes no output: the path holds.
+def test_run_path_reads_only_the_entries_up_to_the_limit():
+    # A descent or a jump past the limit changes no output.
     rng = random.Random(1015)
     a, b = _steps(rng, 100, 4, 0, 50), _steps(rng, 150, 6, 10, 80)
     a[90:] = [-(10**6)] * 10
     b[120:] = list(range(10**6, 10**6 + 30))
     assert maxconv_values(a, b, 89) == brute_maxconv(a, b, 89)
-    assert len(run_calls) == 1 and lanes == []
-
-
-@pytest.mark.parametrize("where", ["first", "middle", "last", "far below"])
-def test_one_descent_sends_the_call_to_the_tiles(where, run_calls, lanes):
-    # A drop of 1 may fall between the kernel's sampled entries, so only its
-    # scan of the runs finds it; a drop below b[0] shows in any sample.
-    rng = random.Random(1016)
-    a, b = _steps(rng, 100, 3, 0, 50), _steps(rng, 150, 4, 10, 80)
-    j = {"first": 1, "middle": 75, "last": 149, "far below": 70}[where]
-    b[j] = b[0] - 1 if where == "far below" else b[j - 1] - 1
-    for x, y in ((a, b), (b, a)):
-        assert maxconv_values(x, y) == brute_maxconv(x, y)
-    assert run_calls == [] and lanes == [np.int32] * 2
-
-
-def test_a_drop_in_the_many_run_operand_sends_the_call_to_the_tiles(run_calls, lanes):
-    # y has few runs; x has too many to check run by run, so the kernel
-    # scans it whole and finds the drop of 1 between its sampled entries.
-    rng = random.Random(1018)
-    a, b = _steps(rng, 100, 3, 0, 50), list(range(150))
-    b[75] = 73
-    for x, y in ((a, b), (b, a)):
-        assert maxconv_values(x, y) == brute_maxconv(x, y)
-    assert run_calls == [] and lanes == [np.int32] * 2
-
-
-def test_many_run_profiles_send_the_call_to_the_tiles(run_calls, lanes):
-    # conv-large's profile x profile shape: about one run per two entries.
-    rng = random.Random(1017)
-    a, b = _profile(rng, 300, 9), _profile(rng, 400, 9)
-    for limit in (None, 299):
-        assert maxconv_values(a, b, limit) == brute_maxconv(a, b, limit)
-    assert run_calls == [] and lanes == [np.int32] * 2
 
 
 def test_conv_output_is_not_held_to_the_input_headroom_rule():

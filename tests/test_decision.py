@@ -16,6 +16,7 @@ from maxconv import (
     max_conv_via_upperbound,
     maxconv_values,
     reduce_upperbound_to_superadditivity,
+    ViolationReport,
 )
 
 from helpers import rand_seq
@@ -85,6 +86,13 @@ def test_detect_violations_recovers_planted_subset_seed4004():
         report = detect_violations(a, b, c)
         assert [k for k in range(n) if report.violated[k]] == planted
         assert c == keep  # caller's copy is never touched
+
+
+def test_detect_violations_masks_above_every_real_sum():
+    # a and b at +w and every |c| <= w: each real sum is 2w, so a mask or
+    # window entry past n of 2w or less would hide a violation, or count a
+    # masked entry again.  K = 2*n*w + 1 stays above them all.
+    assert detect_violations([5] * 4, [5] * 4, [0] * 4) == ViolationReport((True,) * 4, 15)
 
 
 def test_detect_violations_call_accounting():
