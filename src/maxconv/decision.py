@@ -10,6 +10,15 @@ the exact convolution.  With the quadratic oracle this is a
 correctness construction, not a speedup, and the module is written for
 auditability rather than pace.
 
+The scan asks no query that a prefix-max bound already answers: on a
+block pair's windows, an output k with c[k] >= max(a[:k+1]) + max(b[:k+1])
+cannot be violated, since every split of k uses indices at most k.  Only
+the other outputs are live.  A pair with none makes no query, and each
+search of the others runs on the prefix that ends at the last live
+output, starts its bisection at the first live output not yet settled,
+and resumes past each hit.  Only outputs that provably hold are skipped,
+so the report is the same for every correct oracle.
+
 Inputs are checked where they enter: each public function runs the
 Sequence checks on its own arguments, once per call.  The default oracle
 is ``core._dominates``, the same dominance test as ``check_upper_bound``
@@ -22,7 +31,10 @@ with the default oracle each is one kernel call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import add, lt
 from typing import Callable
 
 from .core import Decision, Sequence, SequenceLike, _dominates, _equal_lists
@@ -47,21 +59,28 @@ def detect_single(
     b: SequenceLike,
     c: SequenceLike,
     upper_bound_oracle: UpperBoundOracle = _dominates,
+    *,
+    start: int = 0,
 ) -> int | None:
     """Smallest output index carrying a violation, or None if c dominates.
 
     Binary search over the prefix length p: the p-element prefixes of all
     three sequences contain a violation iff the smallest violated index is
-    below p.  Uses at most ceil(log2 n) + 1 oracle calls.
+    below p.  ``start`` is the caller's promise that every prefix of
+    length at most ``start`` holds (0 <= start < n), so the search runs
+    over the lengths start + 1 .. n and any answer is at least ``start``.
+    Uses at most ceil(log2(n - start)) + 1 <= ceil(log2 n) + 1 oracle calls.
     """
     av, bv, cv, n = _equal_lists(a, b, c)
+    if not 0 <= start < n:
+        raise ValueError(f"start must be in [0, {n}), got {start!r}")
 
     def holds(p: int) -> bool:
         return bool(upper_bound_oracle(av[:p], bv[:p], cv[:p]))
 
     if holds(n):
         return None
-    lo, hi = 1, n
+    lo, hi = start + 1, n
     while lo < hi:
         mid = (lo + hi) // 2
         if holds(mid):
@@ -84,15 +103,22 @@ def detect_violations(
     to local coordinates (the relevant c window spans two intervals) and
     detect_single is repeated; each hit is masked in a working copy of c
     with K, a constant exceeding all feasible sums, so it can never be
-    reported again.  Out-of-range c entries read as K; a/b padding uses -K
-    and therefore never violates.  A pair with x + y >= blocks starts its
-    c window at or past n, so the window is all K and is not searched:
-    blocks * (blocks + 1) / 2 pairs are.  The caller's c is left untouched.
+    reported again.  a/b padding uses -K and therefore never violates.  A
+    pair with x + y >= blocks starts its c window at or past n, so it has
+    no output to search: at most blocks * (blocks + 1) / 2 pairs are
+    searched.  The caller's c is left untouched.
 
-    K = 2*n*w + 1, with w = max(1, max |value|) over a, b and c.  Every
-    window is a Sequence of length 2*s (s the interval length); the a and
-    b windows are built once per call, so detect_single does not check
-    them again on every search.  Values of any magnitude are exact.
+    Within a pair, output k is live iff c[k] is below the sum of the
+    prefix maxima of the a and b windows up to k; no other output can be
+    violated.  A pair with no live output makes no query.  Otherwise every
+    search runs on the windows' prefixes up to the last live output, with
+    ``start`` at the first live output it has not settled: the first one,
+    then, after a hit at k, the first one past k.
+
+    K = 2*n*w + 1, with w = max(1, max |value|) over a, b and c.  The a
+    and b windows (Sequences of length 2*s, s the interval length) and
+    their prefix maxima are built once per call.  Values of any magnitude
+    are exact.
     """
     av, bv, cv, n = _equal_lists(a, b, c)
     w = max(1, max(max(abs(v) for v in vals) for vals in (av, bv, cv)))
@@ -117,17 +143,28 @@ def detect_violations(
         return Sequence(part + [pad] * (2 * s - len(part)))
 
     b_locs = [window(bv, y) for y in range(blocks)]
+    b_tops = [list(accumulate(b_loc, max)) for b_loc in b_locs]
     for x in range(blocks):
         a_loc = window(av, x)
+        a_top = list(accumulate(a_loc, max))
         for y, b_loc in enumerate(b_locs[: blocks - x]):
             base = (x + y) * s
             c_loc = cw[base : base + 2 * s]
-            c_loc += [mask] * (2 * s - len(c_loc))
-            while (k := detect_single(a_loc, b_loc, c_loc, oracle)) is not None:
+            live = list(compress(range(2 * s), map(lt, c_loc, map(add, a_top, b_tops[y]))))
+            if not live:
+                continue
+            p = live[-1] + 1
+            xa, xb, xc = a_loc[:p], b_loc[:p], c_loc[:p]
+            start = live[0]
+            while (k := detect_single(xa, xb, xc, oracle, start=start)) is not None:
                 g = base + k
-                assert g < n and not violated[g]
+                assert not violated[g]
                 violated[g] = True
-                cw[g] = c_loc[k] = mask
+                cw[g] = xc[k] = mask
+                i = bisect_right(live, k)
+                if i == len(live):
+                    break
+                start = live[i]
     return ViolationReport(tuple(violated), calls)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import compress
 
 import pytest
 
@@ -61,6 +62,35 @@ def test_detect_single_oracle_call_budget():
     assert calls <= math.ceil(math.log2(n)) + 1
 
 
+def test_detect_single_from_a_start_seed6007():
+    # With every prefix of length <= start holding, the search over the
+    # lengths start + 1 .. n finds the index the search from 0 finds, in at
+    # most ceil(log2(n - start)) + 1 queries.
+    calls = 0
+
+    def oracle(a, b, c):
+        nonlocal calls
+        calls += 1
+        return check_upper_bound(a, b, c)
+
+    rng = random.Random(6007)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        a, b = rand_seq(rng, n, 30), rand_seq(rng, n, 30)
+        c = maxconv_values(a, b, n - 1)
+        hits = sorted(rng.sample(range(n), rng.randint(0, min(3, n))))
+        for k in hits:
+            c[k] -= 1 + rng.randint(0, 4)
+        want = hits[0] if hits else None
+        start = rng.randint(0, hits[0] if hits else n - 1)
+        calls = 0
+        assert detect_single(a, b, c, oracle, start=start) == want == detect_single(a, b, c)
+        assert calls <= math.ceil(math.log2(n - start)) + 1
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="start"):
+            detect_single([0] * 3, [0] * 3, [0] * 3, start=bad)
+
+
 def test_detect_violations_slack_and_deficit():
     rng = random.Random(4003)
     a = rand_seq(rng, 12, 20)
@@ -91,8 +121,11 @@ def test_detect_violations_recovers_planted_subset_seed4004():
 def test_detect_violations_masks_above_every_real_sum():
     # a and b at +w and every |c| <= w: each real sum is 2w, so a mask or
     # window entry past n of 2w or less would hide a violation, or count a
-    # masked entry again.  K = 2*n*w + 1 stays above them all.
-    assert detect_violations([5] * 4, [5] * 4, [0] * 4) == ViolationReport((True,) * 4, 15)
+    # masked entry again.  K = 2*n*w + 1 stays above them all.  Pair (0, 0)
+    # finds outputs 0, 1 and 2 in 3 + 3 + 2 queries, then one query shows
+    # that output 3 holds there (each of its splits takes a pad); pair
+    # (0, 1) finds output 3 in one query, and pair (1, 0) has no live output.
+    assert detect_violations([5] * 4, [5] * 4, [0] * 4) == ViolationReport((True,) * 4, 10)
 
 
 def test_detect_violations_call_accounting():
@@ -118,26 +151,171 @@ def test_detect_violations_call_accounting():
 
 def test_detect_violations_skips_the_pairs_past_n(monkeypatch):
     # A pair (x, y) with x + y >= blocks has a c window that starts at or
-    # past n, all K: with a c that dominates, each pair before that makes
-    # exactly one search, and no other pair makes one.
-    searches = []
-    inner = decision.detect_single
+    # past n, so it is not visited: the live pass runs once per pair before
+    # that.  With a c that dominates, each pair with a live output makes
+    # exactly one search, on the prefix up to its last live output and
+    # started at its first, and no other pair makes one.
+    searches, passes = [], []
+    inner, compress = decision.detect_single, decision.compress
 
-    def counted(a, b, c, oracle):
-        searches.append(len(c))
-        return inner(a, b, c, oracle)
+    def counted(a, b, c, oracle, *, start=0):
+        searches.append((len(c), start, inner(a, b, c, oracle, start=start)))
+        return searches[-1][2]
+
+    def visited(data, selectors):
+        passes.append(None)
+        return compress(data, selectors)
 
     monkeypatch.setattr(decision, "detect_single", counted)
+    monkeypatch.setattr(decision, "compress", visited)
     rng = random.Random(6004)
     for n in [1, 2, 3, 4, 5, 8, 9, 10, 16, 17, 24, 25, 26, 48, 128] + [rng.randint(1, 99) for _ in range(10)]:
         a, b = rand_seq(rng, n, 50), rand_seq(rng, n, 50)
         c = [v + rng.randint(0, 2) for v in maxconv_values(a, b, n - 1)]
         searches.clear()
+        passes.clear()
         report = detect_violations(a, b, c)
         s, blocks = _blocks(n)
-        assert not any(report.violated)
-        assert searches == [2 * s] * (blocks * (blocks + 1) // 2)
+        want, found = _searches(a, b, c)
+        assert not any(report.violated) and not found
+        assert len(passes) == blocks * (blocks + 1) // 2
+        assert searches == want
         assert report.oracle_calls == len(searches)
+
+
+def test_queries_counted_where_they_are_made_match_the_report_seed6008(monkeypatch):
+    # The benchmark's tracer counts queries by wrapping decision.detect_single
+    # and the oracle each call is handed as its 4th positional argument, and
+    # checks the sum against ViolationReport.oracle_calls.  That seam holds
+    # through the default oracle and a caller-supplied one, for
+    # detect_violations and for the rounds of max_conv_via_upperbound.
+    counted = reported = queries = 0
+    single, scan = decision.detect_single, decision.detect_violations
+
+    def traced_single(a, b, c, oracle, *args, **kwargs):
+        def query(*q):
+            nonlocal counted
+            counted += 1
+            return oracle(*q)
+
+        return single(a, b, c, query, *args, **kwargs)
+
+    def traced_scan(*args):
+        nonlocal reported
+        report = scan(*args)
+        reported += report.oracle_calls
+        return report
+
+    monkeypatch.setattr(decision, "detect_single", traced_single)
+    monkeypatch.setattr(decision, "detect_violations", traced_scan)
+    rng = random.Random(6008)
+    for n in [1, 2, 3, 4, 9, 10, 16, 17, 26] + [rng.randint(1, 48) for _ in range(8)]:
+        a, b = rand_seq(rng, n, 40), rand_seq(rng, n, 40)
+        c = maxconv_values(a, b, n - 1)
+        for k in rng.sample(range(n), rng.randint(0, n)):
+            c[k] += rng.randint(-4, 1)
+        for oracle in (_dominates, check_upper_bound):
+            counted = 0
+            report = detect_violations(a, b, c, oracle)
+            assert report.oracle_calls == counted
+            queries += counted
+            assert report.violated == _brute_violated(a, b, c)
+            counted = reported = 0
+            assert max_conv_via_upperbound(a, b, oracle) == max_conv(a, b, limit=n - 1)
+            assert reported == counted
+    assert queries > 0
+
+
+def _window_bound(vals, x, s, k):
+    """max of the interval-x window of vals up to local index k; the -K pads
+    past the interval never exceed a real entry."""
+    return max(vals[x * s : (x + 1) * s][: k + 1])
+
+
+def _searches(a, b, c, pairs=None):
+    """The searches detect_violations makes, as (prefix length, start,
+    answer), and the outputs it reports, from the live outputs of each
+    block pair and a brute-force scan of the window sums.  ``pairs``, if
+    given, gets (c - bound per unmasked output, live, hits) for each pair."""
+    n = len(a)
+    s, blocks = _blocks(n)
+    searches, found = [], set()
+    for x in range(blocks):
+        for y in range(blocks - x):
+            base = (x + y) * s
+            gap = {k: c[base + k] - _window_bound(a, x, s, k) - _window_bound(b, y, s, k)
+                   for k in range(min(2 * s, n - base)) if base + k not in found}
+            live = [k for k, d in gap.items() if d < 0]
+            hits = [k for k in live if any(
+                a[x * s + i] + b[y * s + k - i] > c[base + k]
+                for i in range(max(0, k - s + 1), min(k, s - 1) + 1)
+                if x * s + i < n and y * s + k - i < n)]
+            if pairs is not None:
+                pairs.append((gap, live, hits))
+            if not live:
+                continue
+            start = live[0]
+            for k in hits:
+                searches.append((live[-1] + 1, start, k))
+                found.add(base + k)
+                start = next((j for j in live if j > k), None)
+                if start is None:
+                    break
+            else:
+                searches.append((live[-1] + 1, start, None))
+    return searches, found
+
+
+def test_certified_searches_at_the_bound_edges_seed6006(monkeypatch):
+    # On the shaped operands of seed6005, c is the convolution with outputs
+    # set at a covering pair's prefix-max bound (never live there), at the
+    # bound - 1 (live), or one below the convolution (violated).  Every
+    # search detect_violations makes, through the default oracle and a
+    # caller-supplied one, is the one the live lists give, and the report is
+    # the brute-force one.  Each edge below turns up at every magnitude.
+    searches = []
+    inner = decision.detect_single
+
+    def counted(a, b, c, oracle, *, start=0):
+        searches.append((len(c), start, inner(a, b, c, oracle, start=start)))
+        return searches[-1][2]
+
+    monkeypatch.setattr(decision, "detect_single", counted)
+    rng = random.Random(6006)
+    for w in (1, 30, 2**70):
+        edges = set()
+        for n in (1, 2, 3, 5, 9, 17, 30):
+            s, blocks = _blocks(n)
+            for sa in SHAPES:
+                for sb in SHAPES:
+                    a, b = _shaped(rng, sa, n, w), _shaped(rng, sb, n, w)
+                    c = maxconv_values(a, b, n - 1)
+                    for g in rng.sample(range(n), rng.randint(0, n)):
+                        x, y = rng.choice([(x, t - x) for t in (g // s - 1, g // s)
+                                           if 0 <= t < blocks for x in range(t + 1)])
+                        k = g - (x + y) * s
+                        bound = _window_bound(a, x, s, k) + _window_bound(b, y, s, k)
+                        c[g] = rng.choice([bound, bound, bound - 1, c[g] - 1])
+                    pairs = []
+                    want, found = _searches(a, b, c, pairs)
+                    assert found == {k for k, v in enumerate(_brute_violated(a, b, c)) if v}
+                    for oracle in (_dominates, check_upper_bound):
+                        searches.clear()
+                        report = detect_violations(a, b, c, oracle)
+                        assert searches == want, (sa, sb, n, w)
+                        assert set(compress(range(n), report.violated)) == found
+                    for gap, live, hits in pairs:
+                        if not live and 0 in gap.values():
+                            edges.add("at the bound, no query")
+                        if any(gap[k] == -1 for k in live):
+                            edges.add("at the bound - 1, searched")
+                        if hits and hits[0] == live[0]:
+                            edges.add("first live output violated")
+                        if hits and hits[-1] == live[-1]:
+                            edges.add("last live output violated")
+                        if len(hits) >= 2:
+                            edges.add("two hits in one pair")
+        assert len(edges) == 5, (w, edges)
 
 
 def _shaped(rng, shape, n, w):
