@@ -229,7 +229,14 @@ def _cmd_solve(args) -> int:
         report["oracle_agreement"] = agrees
         report["reference_method"] = ref_name
         code = 2 if hard else 0
-    print(json.dumps(report, indent=2 if args.json else None, sort_keys=True))
+    # Answers may pass the int-to-str digit limit, which guards input parsing.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(report, indent=2 if args.json else None, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(digits)
+    print(text)
     return code
 
 

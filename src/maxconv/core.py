@@ -42,14 +42,16 @@ _LANE_RANGE = {
 
 
 def _int_values(values: Iterable) -> Union[list, tuple]:
-    """The integer check behind Sequence and maxconv_values.
+    """The one integer-sequence check, behind Sequence and as_values.
 
-    Returns ``values`` itself when it is a list or tuple of plain ints (one
-    pass at C speed); otherwise a list with ``np.integer`` values converted.
-    ``bool`` and every non-integer raise TypeError.
+    Returns ``values`` itself when it is a non-empty list or tuple of plain
+    ints (one pass at C speed), else a list with ``np.integer`` values
+    converted.  Bools and non-integers raise TypeError, emptiness ValueError.
     """
     if not isinstance(values, (list, tuple)):
         values = tuple(values)
+    if not values:
+        raise ValueError("sequences must be non-empty")
     if set(map(type, values)) == {int}:
         return values
     vals = []
@@ -63,18 +65,15 @@ def _int_values(values: Iterable) -> Union[list, tuple]:
 class Sequence:
     """Immutable, non-empty sequence of signed integers of any magnitude.
 
-    Construction takes ints and numpy integers (bool and every other type
-    raise TypeError) and keeps them as Python ints, so downstream
-    arithmetic is exact at every size.
+    Construction runs ``_int_values``: ints and numpy integers are kept as
+    Python ints, so downstream arithmetic is exact at every size; bools and
+    every other type raise TypeError.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(_int_values(values))
-        if not vals:
-            raise ValueError("sequences must be non-empty")
-        self.values: tuple[int, ...] = vals
+        self.values: tuple[int, ...] = tuple(_int_values(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -106,10 +105,9 @@ SequenceLike = Union[Sequence, Iterable[int]]
 
 
 def as_values(seq: SequenceLike) -> list[int]:
-    """Coerce to a validated list of ints (runs Sequence construction checks)."""
-    if isinstance(seq, Sequence):
-        return list(seq.values)
-    return list(Sequence(seq).values)
+    """A new list of the values, checked by ``_int_values`` unless ``seq``
+    is a Sequence (checked when it was built).  Builds no Sequence."""
+    return list(seq.values if isinstance(seq, Sequence) else _int_values(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +256,14 @@ def maxconv_values(
 ) -> list:
     """(max,+)-convolution of raw integer lists, truncated at index ``limit``.
 
-    Operands get Sequence's integer check (TypeError on floats, bools and
-    other non-integers) and may have any magnitude: both kernels are exact
-    on every integer input.
+    Operands get ``as_values``' check and may have any magnitude: both
+    kernels are exact on every integer input.
     """
-    a, b = _int_values(a), _int_values(b)
-    if not a or not b:
-        raise ValueError("convolution operands must be non-empty")
+    a, b = as_values(a), as_values(b)
     full = len(a) + len(b) - 2
     hi = full if limit is None else min(limit, full)
     if hi < 0:
         raise ValueError("limit must be non-negative")
-    if not isinstance(a, list):
-        a = list(a)
-    if not isinstance(b, list):
-        b = list(b)
     return resolve_kernel(kernel)(a, b, hi)
 
 
@@ -283,7 +274,7 @@ def max_conv(
     kernel: str | None = None,
 ) -> Sequence:
     """Max-plus convolution; output index k runs over 0..min(limit, len(a)+len(b)-2)."""
-    return Sequence(maxconv_values(as_values(a), as_values(b), limit, kernel))
+    return Sequence(maxconv_values(a, b, limit, kernel))
 
 
 def min_conv(
@@ -336,7 +327,7 @@ def check_upper_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Deci
 
 def _dominates(av: list, bv: list, cv: list) -> Decision:
     """check_upper_bound on non-empty, equal-length lists that have already
-    passed the Sequence checks; it runs no check of its own.
+    passed ``as_values``; it runs no check of its own.
 
     An entry of av whose sum with max(bv) is at most min(cv) is in no
     violation, nor is such an entry of bv against max(av), so the one

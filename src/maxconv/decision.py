@@ -19,13 +19,13 @@ output, starts its bisection at the first live output not yet settled,
 and resumes past each hit.  Only outputs that provably hold are skipped,
 so the report is the same for every correct oracle.
 
-Inputs are checked where they enter: each public function runs the
-Sequence checks on its own arguments, once per call.  The default oracle
-is ``core._dominates``, the same dominance test as ``check_upper_bound``
-minus that check: it only ever sees slices of lists detect_single has
-already checked.  Every oracle, the default included, receives plain
-lists and is called once per query; ``oracle_calls`` counts queries, and
-with the default oracle each is one kernel call.
+Inputs are checked where they enter: each public function runs
+``core.as_values`` on its own arguments, once per call, and the search
+builds no Sequence, only plain lists.  The default oracle is
+``core._dominates``, ``check_upper_bound`` minus that check: it only sees
+slices of lists detect_single has already checked.  Every oracle receives
+plain lists and is called once per query; ``oracle_calls`` counts
+queries, and with the default oracle each is one kernel call.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def detect_violations(
     then, after a hit at k, the first one past k.
 
     K = 2*n*w + 1, with w = max(1, max |value|) over a, b and c.  The a
-    and b windows (Sequences of length 2*s, s the interval length) and
+    and b windows (plain lists of length 2*s, s the interval length) and
     their prefix maxima are built once per call.  Values of any magnitude
     are exact.
     """
@@ -138,9 +138,9 @@ def detect_violations(
         calls += 1
         return upper_bound_oracle(xa, xb, xc)
 
-    def window(vals: list, x: int) -> Sequence:
+    def window(vals: list, x: int) -> list:
         part = vals[x * s : (x + 1) * s]
-        return Sequence(part + [pad] * (2 * s - len(part)))
+        return part + [pad] * (2 * s - len(part))
 
     b_locs = [window(bv, y) for y in range(blocks)]
     b_tops = [list(accumulate(b_loc, max)) for b_loc in b_locs]

@@ -212,7 +212,8 @@ def parse_instance(text: str) -> dict:
     ``payload_objects`` builds the solver objects."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # RecursionError: the decoder's nesting limit, about 1,000 levels deep.
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "problem" not in doc or "payload" not in doc:
         raise InstanceFormatError("instance files need 'problem' and 'payload' fields")

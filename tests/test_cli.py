@@ -470,6 +470,35 @@ def test_solve_capacity_past_memory_is_an_input_error(tmp_path, problem, method)
     assert err == "error: memory ran out: the instance is too large to solve\n"
 
 
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize("field", ["payload", "meta"])
+def test_solve_deeply_nested_json_is_an_input_error(tmp_path, field, depth):
+    # Past about 1,000 levels the JSON decoder raises RecursionError.
+    parts = {"payload": '{"a": [1], "b": [2]}', "meta": "{}", field: "[" * depth + "]" * depth}
+    path = tmp_path / "deep.json"
+    path.write_text('{{"problem": "maxconv", "payload": {payload}, "meta": {meta}}}'.format(**parts))
+    code, out, err = _solve(["--input", str(path), "--method", "naive"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_solve_reports_an_answer_past_the_digit_limit(tmp_path):
+    # Each operand is one 4,300-digit value, which parses within the
+    # interpreter's int-to-str limit; the answer a + b has 4,301 digits.
+    digits = sys.get_int_max_str_digits()
+    a = 10**4300 - 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"problem": "maxconv", "payload": {"a": [a], "b": [a]}}))
+    for method in ("naive", "via-upperbound"):
+        code, out, err = _solve(["--input", str(path), "--method", method])
+        assert (code, err) == (0, "")
+        # parse_int=str: reading the answer back as an int would pass the limit.
+        answer = json.loads(out, parse_int=str)["answer"]["sequence"]
+        assert answer == ["1" + "9" * 4299 + "8"]  # 2 * (10^4300 - 1)
+        assert sys.get_int_max_str_digits() == digits
+
+
 def test_solve_exit_codes(tmp_path):
     code, _ = run_cli(["solve", "--input", str(tmp_path / "missing.json"), "--method", "naive"])
     assert code == 1

@@ -617,6 +617,9 @@ def test_sequence_check_matches_the_reference_loop(name):
     make = SEQUENCE_INPUTS[name]
     want = _outcome(_reference_sequence_values, make())
     assert _outcome(lambda v: Sequence(v).values, make()) == want
+    # One rule: the list check and a convolution with [0] say the same.
+    assert _outcome(lambda v: tuple(core.as_values(v)), make()) == want
+    assert _outcome(lambda v: tuple(maxconv_values(v, [0])), make()) == want
 
 
 def test_bound_cases_sit_on_the_headroom_rule():

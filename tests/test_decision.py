@@ -366,6 +366,27 @@ def test_via_upperbound_matches_kernel_seed4006():
         assert max_conv_via_upperbound(a, b) == max_conv(a, b, limit=n - 1)
 
 
+def test_the_search_builds_no_sequence_seed6009(monkeypatch):
+    # Counted where the benchmark's tracer counts: Sequence.__init__.  On
+    # plain lists the only Sequence is max_conv_via_upperbound's result.
+    built = []
+    init = core.Sequence.__init__
+
+    def counted(self, values):
+        built.append(len(values))
+        init(self, values)
+
+    monkeypatch.setattr(core.Sequence, "__init__", counted)
+    rng = random.Random(6009)
+    a, b = rand_seq(rng, 40, 200), rand_seq(rng, 40, 200)
+    c = maxconv_values(a, b, 39)
+    c[7] -= 1
+    assert detect_violations(a, b, c).violated[7]
+    assert built == []
+    assert max_conv_via_upperbound(a, b).values == tuple(maxconv_values(a, b, 39))
+    assert built == [40]
+
+
 def test_via_upperbound_accepts_reduction_chain_oracle():
     def chained(a, b, c):
         out = reduce_upperbound_to_superadditivity(a, b, c)
