@@ -131,9 +131,7 @@ METHODS = {
     },
     "knapsack01": {
         "dp": lambda o, p: _profile(knapsack01_dp(*o)),
-        "rand": lambda o, p: _profile(
-            knapsack_rand(o[0].items, o[0].capacity, p["delta"], p["seed"])
-        ),
+        "rand": lambda o, p: _profile(knapsack_rand(o[0], p["delta"], p["seed"])),
     },
     "uknapsack": {
         "dp": lambda o, p: _profile(unbounded_knapsack_dp(*o)),
@@ -148,7 +146,7 @@ METHODS = {
         },
     },
     "treesparsity": {
-        "dp": lambda o, p: _sparsity(o[1], tree_sparsity_dp(*o)[1]),
+        "dp": lambda o, p: _sparsity(o[1], tree_sparsity_dp(o[0])),
         "via-maxconv": lambda o, p: _sparsity(o[1], tree_sparsity_via_maxconv(o[0])),
     },
     "necklace": {

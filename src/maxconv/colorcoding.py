@@ -32,7 +32,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .core import WORD_MAX
-from .oracles import ValueProfile, _check_int, _check_items
+from .oracles import KnapsackInstance, ValueProfile, _check_int, _check_items
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -119,7 +119,7 @@ def _merge(p: np.ndarray, q: np.ndarray, limit: int) -> np.ndarray:
     return _fold(p, list(zip(at, q[at].tolist())), limit)
 
 
-def _profile_dtype(items: list[tuple[int, int]]):
+def _profile_dtype(items: Iterable[tuple[int, int]]):
     """int64 when the positive item values sum to at most 2^63 - 1, else
     object (Python ints).  Every profile entry is 0 or the value of a set
     of distinct items, so that sum bounds every entry and every join sum:
@@ -233,22 +233,17 @@ def color_coding_layer(
     return ValueProfile(tuple(out.tolist()))
 
 
-def knapsack_rand(
-    items: Iterable[tuple[int, int]],
-    t: int,
-    delta: float,
-    rng: SeedLike,
-) -> ValueProfile:
-    """Randomised 0/1-knapsack profile over capacities 0..t.
+def knapsack_rand(inst: KnapsackInstance, delta: float, rng: SeedLike) -> ValueProfile:
+    """Randomised 0/1-knapsack profile of ``inst`` over capacities 0..t.
 
     Items are routed to layers (t/2^i, t/2^(i-1)], the last layer taking
     everything at or below t/2^(layers-1); each layer runs the layer solver
     with budget 2^i and failure share delta/layers, and layer profiles are
     joined at capacity t.  Never exceeds the exact optimum; each entry
-    matches it with probability at least 1 - delta.
+    matches it with probability at least 1 - delta.  The instance's
+    constructor has checked the items and dropped those heavier than t.
     """
-    t = _check_int(t, "capacity")
-    zs = [(w, v) for w, v in _check_items(items) if w <= t]
+    t, zs = inst.capacity, inst.items
     layers = max(1, (len(zs) - 1).bit_length())  # ceil(log2 |zs|)
     share = _check_delta(delta, 0.25, layers)
     root = _seedseq(rng)

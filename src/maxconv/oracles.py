@@ -14,8 +14,6 @@ import numpy as np
 
 from .core import Decision, SequenceLike, _equal_lists, as_values
 
-KNAPSACK_MODES = ("zero_one", "unbounded")
-
 
 def _check_int(v, what: str, minimum: int = 0) -> int:
     """``v`` as a Python int.  Ints and numpy integers pass; bool, np.bool_
@@ -43,7 +41,9 @@ def _check_items(items) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class KnapsackInstance:
-    """Item list with non-negative weights/values, a capacity, and a mode.
+    """Item list with non-negative weights/values and a capacity: the input
+    of 0/1 and of unbounded knapsack alike.  The solver called says which
+    question is asked (``knapsack01_dp`` or ``unbounded_knapsack_dp``).
 
     Items heavier than the capacity can never be packed and are dropped at
     construction, so ``items`` always satisfies weight <= capacity.
@@ -51,11 +51,8 @@ class KnapsackInstance:
 
     items: tuple[tuple[int, int], ...]
     capacity: int
-    mode: str = "zero_one"
 
     def __post_init__(self):
-        if self.mode not in KNAPSACK_MODES:
-            raise ValueError(f"mode must be one of {KNAPSACK_MODES}, got {self.mode!r}")
         t = _check_int(self.capacity, "capacity")
         kept = tuple((w, v) for w, v in _check_items(self.items) if w <= t)
         object.__setattr__(self, "capacity", t)
@@ -109,9 +106,8 @@ class ValueProfile:
 
 
 def knapsack01_dp(inst: KnapsackInstance) -> ValueProfile:
-    """Exact optimum for every capacity <= t; classic O(n*t) table."""
-    if inst.mode != "zero_one":
-        raise ValueError("knapsack01_dp expects mode='zero_one'")
+    """Exact optimum for every capacity <= t, each item taken at most once;
+    classic O(n*t) table."""
     t = inst.capacity
     best = [0] * (t + 1)
     for w, v in inst.items:
@@ -134,8 +130,6 @@ def unbounded_knapsack_dp(inst: KnapsackInstance) -> ValueProfile:
     Only the most valuable item per distinct weight can matter, so the
     instance is deduplicated first, leaving at most t items for the DP.
     """
-    if inst.mode != "unbounded":
-        raise ValueError("unbounded_knapsack_dp expects mode='unbounded'")
     t = inst.capacity
     best_for_weight: dict[int, int] = {}
     for w, v in inst.items:
@@ -246,26 +240,21 @@ def _merge_exact(h: list[int], f: list[int]) -> list[int]:
     return out
 
 
-def tree_sparsity_dp(tree: WeightedTree, k: int) -> tuple[int, list[int]]:
-    """Best total weight of a connected, root-containing subgraph of size k.
-
-    Returns the value for the requested k together with the root vector for
-    every size 0..n.  Children vectors are folded bottom-up.
+def tree_sparsity_dp(tree: WeightedTree) -> list[int]:
+    """Root vector: entry k is the best total weight of a connected,
+    root-containing subgraph of size k, for every k in 0..n.  Children
+    vectors are folded bottom-up.
     """
-    n = tree.n
-    k = _check_int(k, "k")
-    if k > n:
-        raise ValueError(f"k must lie in 0..{n}, got {k!r}")
     kids = tree.children()
-    vec: list[list[int] | None] = [None] * n
+    vec: list[list[int] | None] = [None] * tree.n
     for v in reversed(tree.preorder(kids)):
         h = [0]
         for c in kids[v]:
             h = _merge_exact(h, vec[c])  # type: ignore[arg-type]
         vec[v] = [0] + [tree.weight[v] + hv for hv in h]
     root_vec = vec[tree.root]
-    assert root_vec is not None and len(root_vec) == n + 1
-    return root_vec[k], root_vec
+    assert root_vec is not None and len(root_vec) == tree.n + 1
+    return root_vec
 
 
 # ---------------------------------------------------------------------------

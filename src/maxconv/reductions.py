@@ -55,8 +55,6 @@ def reduce_unbounded_to_01(inst: KnapsackInstance) -> ReductionOutcome:
 
     Growth: at most n * t.bit_length() items.
     """
-    if inst.mode != "unbounded":
-        raise ValueError("source instance must be unbounded")
     t = inst.capacity
     if any(w == 0 and v > 0 for w, v in inst.items):
         # Unlimited copies of a free positive item: no finite 0/1 image.
@@ -66,7 +64,7 @@ def reduce_unbounded_to_01(inst: KnapsackInstance) -> ReductionOutcome:
         for j in range(t.bit_length()):
             if (w << j) <= t:
                 items.append((w << j, v << j))
-    target = KnapsackInstance(tuple(items), t, "zero_one")
+    target = KnapsackInstance(tuple(items), t)
 
     def interpret(answers: list):
         (profile,) = answers
@@ -105,7 +103,7 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
     d = (2 * n - 1) * max(ap) + 1
     items = [(i, ap[i]) for i in range(1, n)]
     items += [(2 * n - 1 - i, d - ap[i]) for i in range(n)]
-    target = KnapsackInstance(tuple(items), 2 * n - 1, "unbounded")
+    target = KnapsackInstance(tuple(items), 2 * n - 1)
 
     def interpret(answers: list) -> bool:
         (profile,) = answers

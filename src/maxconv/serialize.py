@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from typing import Callable, NamedTuple
 
 from .core import Sequence, maxconv_values
@@ -124,11 +125,13 @@ def _sequences(fields: tuple[str, ...], gen) -> Problem:
     return Problem(fields, objects, gen)
 
 
-def _knapsack(mode: str) -> Problem:
-    def objects(p):
-        return (KnapsackInstance(p["items"], p["capacity"], mode),)
-
-    return Problem(("items", "capacity"), objects, _gen_knapsack, ("n", "values", "t"))
+# 0/1 and unbounded knapsack take one input; the solver asks the question.
+_KNAPSACK = Problem(
+    ("items", "capacity"),
+    lambda p: (KnapsackInstance(p["items"], p["capacity"]),),
+    _gen_knapsack,
+    ("n", "values", "t"),
+)
 
 
 def _tree(p) -> tuple:
@@ -146,8 +149,8 @@ PROBLEMS: dict[str, Problem] = {
     "upperbound": _sequences(("a", "b", "c"), _gen_bound_triple(upper=True)),
     "lowerbound": _sequences(("a", "b", "c"), _gen_bound_triple(upper=False)),
     "superadd": _sequences(("a",), _gen_superadd),
-    "knapsack01": _knapsack("zero_one"),
-    "uknapsack": _knapsack("unbounded"),
+    "knapsack01": _KNAPSACK,
+    "uknapsack": _KNAPSACK,
     "mcsp": _sequences(("a",), lambda rng, n, w, o: {"a": _seq(rng, n, w)}),
     "treesparsity": Problem(("parent", "weight", "k"), _tree, _gen_tree, ("n", "values", "k")),
     "necklace": Problem(
@@ -215,6 +218,10 @@ def parse_instance(text: str) -> dict:
     # RecursionError: the decoder's nesting limit, about 1,000 levels deep.
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    # The decoder's plain ValueError: an integer past the int-to-str limit.
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise InstanceFormatError(f"integers may have at most {limit} digits") from exc
     if not isinstance(doc, dict) or "problem" not in doc or "payload" not in doc:
         raise InstanceFormatError("instance files need 'problem' and 'payload' fields")
     problem, payload = doc["problem"], doc["payload"]

@@ -74,7 +74,7 @@ def test_criterion_2_ring_soundness():
         n = rng.randint(0, 32)
         t = rng.randint(1, 64)
         items = tuple((rng.randint(1, t), rng.randint(0, 256)) for _ in range(n))
-        src = KnapsackInstance(items, t, "unbounded")
+        src = KnapsackInstance(items, t)
         out = reduce_unbounded_to_01(src)
         got = out.interpret([knapsack01_dp(out.instances[0])])
         assert got == unbounded_knapsack_dp(src)[t]
@@ -138,7 +138,7 @@ def test_criterion_4_randomized_knapsack():
         t = rng.randint(1, 60)
         items = rand_items(rng, n, t, 100)
         dp = knapsack01_dp(KnapsackInstance(tuple(items), t))
-        prof = knapsack_rand(items, t, 0.05, trial)
+        prof = knapsack_rand(KnapsackInstance(items, t), 0.05, trial)
         # soundness is a hard requirement at every capacity
         assert all(x <= y for x, y in zip(prof, dp))
         entry_misses += prof[t] != dp[t]
@@ -174,7 +174,7 @@ def test_criterion_6_tree_sparsity():
         n = rng.randint(1, 200)
         parent, weight = rand_tree(rng, n, 100)
         tree = WeightedTree(tuple(parent), tuple(weight))
-        assert tree_sparsity_via_maxconv(tree) == tree_sparsity_dp(tree, 0)[1]
+        assert tree_sparsity_via_maxconv(tree) == tree_sparsity_dp(tree)
     _verdict("criterion 6 (tree sparsity)", "200 trees up to n=200, vectors exact")
 
 
@@ -217,7 +217,7 @@ def test_criterion_9_property_suite():
         assert all(x <= y for x, y in zip(prof, prof[1:]))
     for trial in range(100):  # including randomized profiles
         items = rand_items(rng, rng.randint(1, 10), 16, 12)
-        prof = list(knapsack_rand(items, 16, 0.25, trial))
+        prof = list(knapsack_rand(KnapsackInstance(items, 16), 0.25, trial))
         assert all(x <= y for x, y in zip(prof, prof[1:]))
 
     for _ in range(1000):  # superadditive sequences absorb self-convolution

@@ -499,6 +499,17 @@ def test_solve_reports_an_answer_past_the_digit_limit(tmp_path):
         assert sys.get_int_max_str_digits() == digits
 
 
+def test_solve_refuses_an_integer_past_the_digit_limit(tmp_path):
+    # One digit past the interpreter's int-to-str limit (4,300 digits by
+    # default; the test above solves a literal at it) is an input error
+    # that states the limit.
+    path = tmp_path / "long.json"
+    path.write_text('{"problem": "maxconv", "payload": {"a": [%s], "b": [0]}}' % ("9" * 4301))
+    code, out, err = _solve(["--input", str(path), "--method", "naive"])
+    assert (code, out) == (1, "")
+    assert err == "error: integers may have at most 4300 digits\n"
+
+
 def test_solve_exit_codes(tmp_path):
     code, _ = run_cli(["solve", "--input", str(tmp_path / "missing.json"), "--method", "naive"])
     assert code == 1

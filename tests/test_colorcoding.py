@@ -152,7 +152,7 @@ def test_layer_parameters_seed5012(monkeypatch):
 def test_knapsack_rand_example_instance():
     hits = 0
     for seed in range(100):
-        prof = knapsack_rand([(2, 3), (3, 4)], 5, 0.05, seed)
+        prof = knapsack_rand(KnapsackInstance([(2, 3), (3, 4)], 5), 0.05, seed)
         assert prof[5] <= 7
         hits += prof[5] == 7
     assert hits >= 90
@@ -160,26 +160,26 @@ def test_knapsack_rand_example_instance():
 
 def test_knapsack_rand_single_item_exact():
     for seed in range(30):
-        prof = knapsack_rand([(3, 9)], 7, 0.25, seed)
+        prof = knapsack_rand(KnapsackInstance([(3, 9)], 7), 0.25, seed)
         assert list(prof) == [0, 0, 0, 9, 9, 9, 9, 9]
 
 
 def test_knapsack_rand_deterministic_under_seed():
     items = [(2, 3), (5, 8), (1, 1), (4, 4)]
-    a = knapsack_rand(items, 9, 0.05, 1234)
-    b = knapsack_rand(items, 9, 0.05, 1234)
+    a = knapsack_rand(KnapsackInstance(items, 9), 0.05, 1234)
+    b = knapsack_rand(KnapsackInstance(items, 9), 0.05, 1234)
     assert list(a) == list(b)
-    c = knapsack_rand(items, 9, 0.05, 1235)
+    c = knapsack_rand(KnapsackInstance(items, 9), 0.05, 1235)
     assert len(c) == len(a)  # different seed still a full profile
 
 
 def test_knapsack_rand_edge_cases():
-    assert list(knapsack_rand([], 4, 0.1, 0)) == [0] * 5
-    assert list(knapsack_rand([(1, 2)], 0, 0.1, 0)) == [0]
+    assert list(knapsack_rand(KnapsackInstance([], 4), 0.1, 0)) == [0] * 5
+    assert list(knapsack_rand(KnapsackInstance([(1, 2)], 0), 0.1, 0)) == [0]
     with pytest.raises(ValueError):
-        knapsack_rand([(1, 1)], 3, 0.3, 0)  # delta above 1/4
+        knapsack_rand(KnapsackInstance([(1, 1)], 3), 0.3, 0)  # delta above 1/4
     with pytest.raises(TypeError):
-        knapsack_rand([(1, 1)], 3, 0.05, None)  # seed is mandatory
+        knapsack_rand(KnapsackInstance([(1, 1)], 3), 0.05, None)  # seed is mandatory
 
 
 def test_delta_rule_seed5010():
@@ -188,19 +188,19 @@ def test_delta_rule_seed5010():
     exact = list(knapsack01_dp(KnapsackInstance(tuple(items), 40)))
     # Subnormal deltas, whose reciprocal overflows to inf, still set a trial count.
     for delta in (1e-308, 1e-310):
-        assert list(knapsack_rand(items, 40, delta, 1)) == exact
+        assert list(knapsack_rand(KnapsackInstance(items, 40), delta, 1)) == exact
         assert list(color_coding(items, 40, 12, delta, 1)) == exact
     # In (0, 1/4], but its share over the 4 layers rounds to 0; with one
     # layer (two items) there is no split, and it is answered.
     with pytest.raises(ValueError, match="too small"):
-        knapsack_rand(items, 40, 5e-324, 1)
+        knapsack_rand(KnapsackInstance(items, 40), 5e-324, 1)
     two = items[:2]
-    assert list(knapsack_rand(two, 40, 5e-324, 1)) == list(
+    assert list(knapsack_rand(KnapsackInstance(two, 40), 5e-324, 1)) == list(
         knapsack01_dp(KnapsackInstance(tuple(two), 40))
     )
     for bad in (0, -0.1, 0.3, float("nan"), True, "0.1"):
         with pytest.raises(ValueError, match="delta must"):
-            knapsack_rand(items, 40, bad, 1)
+            knapsack_rand(KnapsackInstance(items, 40), bad, 1)
     for bad in (0, 1.5, float("nan"), True):
         with pytest.raises(ValueError, match="delta must"):
             color_coding(items, 40, 12, bad, 1)
@@ -213,28 +213,29 @@ def test_knapsack_rand_never_exceeds_dp_seed5004():
         t = rng.randint(1, 48)
         items = rand_items(rng, n, t, 40)
         dp = knapsack01_dp(KnapsackInstance(tuple(items), t))
-        prof = knapsack_rand(items, t, 0.25, trial)
+        prof = knapsack_rand(KnapsackInstance(items, t), 0.25, trial)
         assert len(prof) == t + 1
         assert all(x <= y for x, y in zip(prof, dp))
 
 
 def test_knapsack_rand_validates_arguments():
     items = [(1, 3), (2, 5)]
-    assert len(knapsack_rand(items, 3, 0.05, 7)) == 4
+    assert len(knapsack_rand(KnapsackInstance(items, 3), 0.05, 7)) == 4
     with pytest.raises(ValueError):
-        knapsack_rand(items, 3, 0.5, 7)
+        knapsack_rand(KnapsackInstance(items, 3), 0.5, 7)
     with pytest.raises(TypeError):
-        knapsack_rand(items, 3, 0.05, "x")
+        knapsack_rand(KnapsackInstance(items, 3), 0.05, "x")
     # Checked before the degenerate shortcuts, not only when joins run.
     with pytest.raises(TypeError):
-        knapsack_rand([], 0, 0.05, "x")
+        knapsack_rand(KnapsackInstance([], 0), 0.05, "x")
 
 
 def test_profiles_are_pinned_by_seed():
     digest = hashlib.sha256()
     for seed, (t, items) in enumerate(_golden_cases()):
         for delta in (0.05, 0.25):
-            digest.update(json.dumps(list(knapsack_rand(items, t, delta, seed))).encode())
+            prof = knapsack_rand(KnapsackInstance(items, t), delta, seed)
+            digest.update(json.dumps(list(prof)).encode())
         for k in (1, 3):
             digest.update(json.dumps(list(color_coding(items, t, k, 0.2, seed))).encode())
     assert digest.hexdigest() == PROFILE_DIGEST
@@ -319,7 +320,7 @@ def test_profiles_past_the_word_are_exact(items, t, dense):
     assert max(exact) > 2**63 - 1
     assert dense is None or dense == exact
     for seed in range(6):
-        assert list(knapsack_rand(items, t, 0.25, seed)) == exact
+        assert list(knapsack_rand(KnapsackInstance(items, t), 0.25, seed)) == exact
         assert list(color_coding(items, t, 2, 0.25, seed)) == exact
 
 
@@ -327,7 +328,7 @@ def test_sums_at_the_word_limit_stay_exact():
     items = [(1, 2**62), (2, 2**62 - 1)]
     exact = [0, 2**62, 2**62, 2**63 - 1]
     for seed in range(10):
-        assert list(knapsack_rand(items, 3, 0.25, seed)) == exact
+        assert list(knapsack_rand(KnapsackInstance(items, 3), 0.25, seed)) == exact
         assert list(color_coding(items, 3, 2, 0.25, seed)) == exact
 
 

@@ -33,6 +33,11 @@ def test_maxconv_with_limit():
     assert max_conv([0, 1], [0, 2], limit=1) == [0, 2]
 
 
+def test_negative_limit_rejected():
+    with pytest.raises(ValueError, match="limit must be non-negative"):
+        maxconv_values([1, 2], [3, 4], limit=-1)
+
+
 def test_maxconv_against_enumeration():
     a, b = [1, 5, 2], [0, 3, 1]
     expected = brute_maxconv(a, b)
@@ -553,6 +558,17 @@ def test_sequence_validation():
     with pytest.raises(TypeError):
         Sequence([True])
     assert Sequence([2**60, -(2**70)]).values == (2**60, -(2**70))  # any magnitude
+
+
+def test_sequence_equality_hash_and_repr():
+    s = Sequence([3, -1])
+    assert s == Sequence((3, -1)) and s == [3, -1] and s == (3, -1)
+    assert hash(s) == hash(Sequence([3, -1])) and len({s, Sequence([3, -1])}) == 1
+    assert repr(s) == "Sequence([3, -1])"
+    # Against any other type, equality is left to the other operand.
+    for other in (3, "x", {3: -1}, None):
+        assert s.__eq__(other) is NotImplemented
+        assert s != other
 
 
 def _reference_sequence_values(values):

@@ -21,6 +21,7 @@ from maxconv import (
 )
 
 from maxconv.oracles import _check_int
+from maxconv.serialize import InstanceFormatError, payload_objects
 from helpers import (
     brute_mcsp,
     enum_knapsack01,
@@ -52,19 +53,19 @@ def test_knapsack01_against_subset_enumeration_seed2001():
 
 
 def test_unbounded_examples():
-    prof = unbounded_knapsack_dp(KnapsackInstance(((2, 3),), 5, "unbounded"))
+    prof = unbounded_knapsack_dp(KnapsackInstance(((2, 3),), 5))
     assert prof[5] == 6
-    prof = unbounded_knapsack_dp(KnapsackInstance(((1, 1), (1, 5)), 2, "unbounded"))
+    prof = unbounded_knapsack_dp(KnapsackInstance(((1, 1), (1, 5)), 2))
     assert prof[2] == 10
-    assert list(unbounded_knapsack_dp(KnapsackInstance((), 4, "unbounded"))) == [0] * 5
+    assert list(unbounded_knapsack_dp(KnapsackInstance((), 4))) == [0] * 5
 
 
 def test_unbounded_rejects_zero_weight_value():
-    inst = KnapsackInstance(((0, 3),), 4, "unbounded")
+    inst = KnapsackInstance(((0, 3),), 4)
     with pytest.raises(ValueError):
         unbounded_knapsack_dp(inst)
     # zero-weight zero-value items are simply dropped
-    prof = unbounded_knapsack_dp(KnapsackInstance(((0, 0), (2, 1)), 4, "unbounded"))
+    prof = unbounded_knapsack_dp(KnapsackInstance(((0, 0), (2, 1)), 4))
     assert list(prof) == [0, 0, 1, 1, 2]
 
 
@@ -74,15 +75,8 @@ def test_unbounded_against_enumeration_seed2002():
         n = rng.randint(0, 5)
         t = rng.randint(0, 18)
         items = [(rng.randint(1, max(1, t)), rng.randint(0, 15)) for _ in range(n)]
-        inst = KnapsackInstance(tuple(items), t, "unbounded")
+        inst = KnapsackInstance(tuple(items), t)
         assert list(unbounded_knapsack_dp(inst)) == enum_unbounded(list(inst.items), t)
-
-
-def test_mode_mismatch_rejected():
-    with pytest.raises(ValueError):
-        knapsack01_dp(KnapsackInstance((), 1, "unbounded"))
-    with pytest.raises(ValueError):
-        unbounded_knapsack_dp(KnapsackInstance((), 1, "zero_one"))
 
 
 def test_profiles_monotone_and_ordered_seed2003():
@@ -92,7 +86,7 @@ def test_profiles_monotone_and_ordered_seed2003():
         t = rng.randint(1, 20)
         items = rand_items(rng, n, t, 12)
         p01 = list(knapsack01_dp(KnapsackInstance(tuple(items), t)))
-        pun = list(unbounded_knapsack_dp(KnapsackInstance(tuple(items), t, "unbounded")))
+        pun = list(unbounded_knapsack_dp(KnapsackInstance(tuple(items), t)))
         assert all(x <= y for x, y in zip(p01, p01[1:]))
         assert all(x <= y for x, y in zip(pun, pun[1:]))
         # unboundedness can only help
@@ -119,12 +113,9 @@ def test_mcsp_against_window_enumeration_seed2004():
 
 
 def test_tree_sparsity_examples():
-    value, vec = tree_sparsity_dp(WeightedTree((-1,), (7,)), 1)
-    assert value == 7 and vec == [0, 7]
-    value, _ = tree_sparsity_dp(WeightedTree((-1, 0), (1, 5)), 1)
-    assert value == 1
-    value, _ = tree_sparsity_dp(WeightedTree((-1, 0, 1), (0, 3, 10)), 2)
-    assert value == 3
+    assert tree_sparsity_dp(WeightedTree((-1,), (7,))) == [0, 7]
+    assert tree_sparsity_dp(WeightedTree((-1, 0), (1, 5)))[1] == 1
+    assert tree_sparsity_dp(WeightedTree((-1, 0, 1), (0, 3, 10)))[2] == 3
 
 
 def test_tree_sparsity_against_enumeration_seed2005():
@@ -134,16 +125,11 @@ def test_tree_sparsity_against_enumeration_seed2005():
         parent, weight = rand_tree(rng, n, 12)
         tree = WeightedTree(tuple(parent), tuple(weight))
         k = rng.randint(0, n)
-        value, vec = tree_sparsity_dp(tree, k)
-        assert value == enum_tree_sparsity(parent, weight, k)
+        vec = tree_sparsity_dp(tree)
+        assert vec[k] == enum_tree_sparsity(parent, weight, k)
         assert len(vec) == n + 1
         # non-negative weights make the vector monotone in the size
         assert all(x <= y for x, y in zip(vec, vec[1:]))
-
-
-def test_tree_sparsity_rejects_bad_k():
-    with pytest.raises(ValueError):
-        tree_sparsity_dp(WeightedTree((-1,), (3,)), 2)
 
 
 def test_tree_validation():
@@ -330,7 +316,7 @@ def test_numpy_integers_answer_as_plain_ints_seed2008():
         assert {type(x) for item in inst.items for x in (*item, inst.capacity)} <= {int}
         prof = knapsack01_dp(inst)
         seed = rng.randrange(1000)
-        assert knapsack_rand(np_items, np.int64(t), 0.1, seed) == knapsack_rand(items, t, 0.1, seed)
+        assert knapsack_rand(inst, 0.1, seed) == knapsack_rand(KnapsackInstance(items, t), 0.1, seed)
         np_prof = ValueProfile(tuple(np.array(prof.best, dtype=np.int64)))
         assert np_prof == prof and {type(v) for v in np_prof} == {int}
         parent, weight = rand_tree(rng, rng.randint(1, 8), 2**62)
@@ -338,8 +324,11 @@ def test_numpy_integers_answer_as_plain_ints_seed2008():
         plain = WeightedTree(parent, weight)
         assert tree == plain == WeightedTree(tuple(parent), tuple(weight))
         assert {type(v) for v in (*tree.parent, *tree.weight)} == {int}
+        assert tree_sparsity_dp(tree) == tree_sparsity_dp(plain)
         for k in (tree.n, tree.n // 2):
-            assert tree_sparsity_dp(tree, np.int64(k)) == tree_sparsity_dp(plain, k)
+            payload = {"parent": parent, "weight": weight, "k": np.int64(k)}
+            objs = payload_objects("treesparsity", payload)
+            assert objs == (plain, k) and type(objs[1]) is int
     beads = NecklaceInstance((np.int64(0), 2), (1, np.int32(3)), np.uint16(4))
     assert beads == NecklaceInstance((0, 2), (1, 3), 4)
     assert {type(v) for v in (*beads.x, *beads.y, beads.circle_length)} == {int}
@@ -347,12 +336,12 @@ def test_numpy_integers_answer_as_plain_ints_seed2008():
         with pytest.raises(ValueError, match="item weight must be an integer"):
             KnapsackInstance(((bad, 1),), 3)
         with pytest.raises(ValueError, match="capacity must be an integer"):
-            knapsack_rand([(1, 1)], bad, 0.1, 0)
+            KnapsackInstance(((1, 1),), bad)
     # A float root marker equals -1 but is refused like every non-integer.
     for parent in ((-1.0, 0), (-1, True), (-1, np.bool_(True))):
         with pytest.raises(ValueError, match="parent link must be an integer"):
             WeightedTree(parent, (1, 2))
     with pytest.raises(ValueError, match="parent link must be >= -1"):
         WeightedTree((-1, -2), (1, 2))
-    with pytest.raises(ValueError, match="k must be an integer"):
-        tree_sparsity_dp(WeightedTree((-1, 0), (1, 2)), 1.0)
+    with pytest.raises(InstanceFormatError, match="k must be an integer"):
+        payload_objects("treesparsity", {"parent": [-1, 0], "weight": [1, 2], "k": 1.0})

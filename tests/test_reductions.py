@@ -35,13 +35,13 @@ from helpers import rand_bound_triple, rand_seq, rand_superadd_candidate, rand_t
 
 
 def test_unbounded_to_01_construction():
-    out = reduce_unbounded_to_01(KnapsackInstance(((1, 1),), 3, "unbounded"))
+    out = reduce_unbounded_to_01(KnapsackInstance(((1, 1),), 3))
     assert out.instances[0].items == ((1, 1), (2, 2))
     assert out.instances[0].capacity == 3
 
 
 def test_unbounded_to_01_example_optimum():
-    src = KnapsackInstance(((2, 3),), 5, "unbounded")
+    src = KnapsackInstance(((2, 3),), 5)
     out = reduce_unbounded_to_01(src)
     assert out.instances[0].items == ((2, 3), (4, 6))
     got = out.interpret([knapsack01_dp(out.instances[0])])
@@ -49,7 +49,7 @@ def test_unbounded_to_01_example_optimum():
 
 
 def test_unbounded_to_01_empty():
-    out = reduce_unbounded_to_01(KnapsackInstance((), 4, "unbounded"))
+    out = reduce_unbounded_to_01(KnapsackInstance((), 4))
     assert out.interpret([knapsack01_dp(out.instances[0])]) == 0
 
 
@@ -59,7 +59,7 @@ def test_unbounded_to_01_random_profiles_seed3001():
         n = rng.randint(0, 10)
         t = rng.randint(1, 40)
         items = tuple((rng.randint(1, t), rng.randint(0, 30)) for _ in range(n))
-        src = KnapsackInstance(items, t, "unbounded")
+        src = KnapsackInstance(items, t)
         out = reduce_unbounded_to_01(src)
         target = out.instances[0]
         assert len(target.items) <= len(src.items) * t.bit_length()
@@ -72,14 +72,14 @@ def test_unbounded_to_01_random_profiles_seed3001():
 
 def test_unbounded_to_01_at_capacity_zero():
     for items in ((), ((1, 2),), ((0, 0), (3, 4))):
-        src = KnapsackInstance(items, 0, "unbounded")
+        src = KnapsackInstance(items, 0)
         out = reduce_unbounded_to_01(src)
         got = knapsack01_dp(out.instances[0])
         assert list(got) == list(unbounded_knapsack_dp(src)) == [0]
         assert out.interpret([got]) == 0
     # the unbounded objective is still refused first
     with pytest.raises(ValueError, match="unbounded"):
-        reduce_unbounded_to_01(KnapsackInstance(((0, 3),), 0, "unbounded"))
+        reduce_unbounded_to_01(KnapsackInstance(((0, 3),), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_superadd_to_unbounded_short_circuits():
 def test_superadd_to_unbounded_structure():
     out = reduce_superadditivity_to_unbounded([0, 0, 0])
     inst = out.instances[0]
-    assert inst.capacity == 5 and inst.mode == "unbounded"
+    assert inst.capacity == 5
     # normalized sequence is [0, 1, 2]; light items pair with heavy partners,
     # and the one heavy item at the full capacity is worth the threshold D
     (d,) = [v for w, v in inst.items if w == inst.capacity]
@@ -249,14 +249,14 @@ def test_tree_sparsity_via_maxconv_random_seed3007():
         n = rng.randint(1, 60)
         parent, weight = rand_tree(rng, n, 25)
         tree = WeightedTree(tuple(parent), tuple(weight))
-        assert tree_sparsity_via_maxconv(tree) == tree_sparsity_dp(tree, 0)[1]
+        assert tree_sparsity_via_maxconv(tree) == tree_sparsity_dp(tree)
     # Long spines: every level of the spine halving, and its head/tail merge.
     for shape in ("path", "caterpillar", "broom", "binary"):
         for n in (1, 2, 3, rng.randint(4, 60), rng.randint(100, 200)):
             wmax = rng.choice([0, 25, 2**62])
             weight = [rng.randint(0, wmax) for _ in range(n)]
             tree = WeightedTree(tuple(_shaped_parents(rng, shape, n)), tuple(weight))
-            assert tree_sparsity_via_maxconv(tree) == tree_sparsity_dp(tree, 0)[1], (shape, n)
+            assert tree_sparsity_via_maxconv(tree) == tree_sparsity_dp(tree), (shape, n)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def test_reduction_growth_bounds_seed3010():
 
             t = rng.randint(0, 300)
             items = tuple((rng.randint(1, max(1, t)), rng.randint(0, w)) for _ in range(n))
-            (inst,) = reduce_unbounded_to_01(KnapsackInstance(items, t, "unbounded")).instances
+            (inst,) = reduce_unbounded_to_01(KnapsackInstance(items, t)).instances
             assert len(inst.items) <= n * t.bit_length()
 
             a = rand_superadd_candidate(rng, n, w)
