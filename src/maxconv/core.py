@@ -319,21 +319,42 @@ def check_upper_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Deci
     """Does c dominate the convolution, i.e. a[i]+b[j] <= c[i+j] for all i+j < n?
 
     On failure the witness is the violating (i, j) with the smallest i + j,
-    and among those the smallest i.
+    and among those the smallest i, found by a scan of that output after
+    the one kernel call.  The decision route's default oracle,
+    ``_dominates``, makes the same call and returns only the verdict.
     """
     av, bv, cv, _ = _equal_lists(a, b, c)
-    return _dominates(av, bv, cv)
+    return _witnessed(av, bv, cv)
 
 
-def _dominates(av: list, bv: list, cv: list) -> Decision:
-    """check_upper_bound on non-empty, equal-length lists that have already
-    passed ``as_values``; it runs no check of its own.
+def _witnessed(av: list, bv: list, cv: list) -> Decision:
+    """check_upper_bound on checked lists: the one kernel call of
+    ``_bounded_conv``, then a scan of the first violated output for its
+    witness.  Shared by check_upper_bound and is_superadditive."""
+    conv = _bounded_conv(av, bv, cv)
+    for k, (best, cap) in enumerate(zip(conv, cv)):
+        if best > cap:
+            i = next(i for i in range(k + 1) if av[i] + bv[k - i] > cap)
+            return Decision(False, (i, k - i))
+    return Decision(True)
+
+
+def _dominates(av: list, bv: list, cv: list) -> bool:
+    """The verdict of check_upper_bound, and nothing else, on non-empty,
+    equal-length lists that have already passed ``as_values``: it runs no
+    check of its own, builds no Decision and looks for no witness.  This
+    is the decision route's default oracle."""
+    return not any(map(gt, _bounded_conv(av, bv, cv), cv))
+
+
+def _bounded_conv(av: list, bv: list, cv: list) -> list:
+    """The convolution's outputs that can exceed cv, from one kernel call.
 
     An entry of av whose sum with max(bv) is at most min(cv) is in no
-    violation, nor is such an entry of bv against max(av), so the one
-    kernel call leaves out each operand's trailing run of them (keeping at
-    least one entry).  The sums left out are at most min(cv): every output
-    is violated iff it is in the smaller product, and none past its end is,
+    violation, nor is such an entry of bv against max(av), so the kernel
+    call leaves out each operand's trailing run of them (keeping at least
+    one entry).  The sums left out are at most min(cv): every output is
+    violated iff it is in the smaller product, and none past its end is,
     so the first violated output and its witness are unchanged.
     """
     low, ra, rb = min(cv), len(av), len(bv)
@@ -342,15 +363,7 @@ def _dominates(av: list, bv: list, cv: list) -> Decision:
         ra -= 1
     while rb > 1 and bv[rb - 1] + top_a <= low:
         rb -= 1
-    conv = resolve_kernel()(av[:ra], bv[:rb], min(len(cv), ra + rb - 1) - 1)
-    if not any(map(gt, conv, cv)):
-        return Decision(True)
-    for k, (best, cap) in enumerate(zip(conv, cv)):
-        if best > cap:
-            for i in range(k + 1):
-                if av[i] + bv[k - i] > cap:
-                    return Decision(False, (i, k - i))
-    return Decision(True)
+    return resolve_kernel()(av[:ra], bv[:rb], min(len(cv), ra + rb - 1) - 1)
 
 
 def check_lower_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Decision:
@@ -373,7 +386,7 @@ def is_superadditive(a: SequenceLike) -> Decision:
     check_upper_bound on (a, a, a), so the witness (i, j) has i <= j.
     """
     av = as_values(a)
-    return _dominates(av, av, av)
+    return _witnessed(av, av, av)
 
 
 def normalize_nonneg_monotone(a: SequenceLike) -> tuple[Sequence, int] | None:

@@ -10,22 +10,27 @@ the exact convolution.  With the quadratic oracle this is a
 correctness construction, not a speedup, and the module is written for
 auditability rather than pace.
 
-The scan asks no query that a prefix-max bound already answers: on a
-block pair's windows, an output k with c[k] >= max(a[:k+1]) + max(b[:k+1])
-cannot be violated, since every split of k uses indices at most k.  Only
-the other outputs are live.  A pair with none makes no query, and each
-search of the others runs on the prefix that ends at the last live
-output, starts its bisection at the first live output not yet settled,
-and resumes past each hit.  Only outputs that provably hold are skipped,
-so the report is the same for every correct oracle.
+The scan asks no query that a two-sided bound already answers.  On a
+block pair's windows of s entries each, a split i + j = k of output k
+takes i and j from max(0, k - s + 1) .. min(k, s - 1): a prefix of each
+window for k < s, a suffix from k - s + 1 for k >= s, and nothing for
+k = 2s - 1.  An output whose c is at least the sum of the two maxima
+over those ranges cannot be violated; only the other outputs are live.
+A pair with none makes no query, and each search of the others runs on
+the prefix that ends at the last live output, starts its bisection at
+the first live output not yet settled, and resumes past each hit.  Only
+outputs that provably hold are skipped, so the report is the same for
+every correct oracle.
 
 Inputs are checked where they enter: each public function runs
 ``core.as_values`` on its own arguments, once per call, and the search
 builds no Sequence, only plain lists.  The default oracle is
-``core._dominates``, ``check_upper_bound`` minus that check: it only sees
-slices of lists detect_single has already checked.  Every oracle receives
-plain lists and is called once per query; ``oracle_calls`` counts
-queries, and with the default oracle each is one kernel call.
+``core._dominates``: the verdict of ``check_upper_bound``, without its
+input check and its witness, returned as a bool.  It only sees slices of
+lists detect_single has already checked.  Every oracle receives plain
+lists, is called once per query, and is read only for the truth of what
+it returns; ``oracle_calls`` counts queries, and with the default oracle
+each is one kernel call.
 """
 
 from __future__ import annotations
@@ -37,9 +42,11 @@ from itertools import accumulate, compress
 from operator import add, lt
 from typing import Callable
 
-from .core import Decision, Sequence, SequenceLike, _dominates, _equal_lists
+from .core import Sequence, SequenceLike, _dominates, _equal_lists
 
-UpperBoundOracle = Callable[[list, list, list], Decision]
+# An oracle may return anything whose truth is the verdict: a bool, as the
+# default does, or a core.Decision, as check_upper_bound does.
+UpperBoundOracle = Callable[[list, list, list], object]
 
 
 @dataclass(frozen=True)
@@ -108,17 +115,20 @@ def detect_violations(
     no output to search: at most blocks * (blocks + 1) / 2 pairs are
     searched.  The caller's c is left untouched.
 
-    Within a pair, output k is live iff c[k] is below the sum of the
-    prefix maxima of the a and b windows up to k; no other output can be
-    violated.  A pair with no live output makes no query.  Otherwise every
-    search runs on the windows' prefixes up to the last live output, with
-    ``start`` at the first live output it has not settled: the first one,
-    then, after a hit at k, the first one past k.
+    Within a pair, output k is live iff c[k] is below the sum of the a
+    and b windows' maxima over the indices a split of k can use: the
+    prefix up to k for k < s, the interval's suffix from k - s + 1 for
+    s <= k < 2s - 1.  Output 2s - 1 has no split and is never live, and
+    no output that is not live can be violated.  A pair with no live
+    output makes no query.  Otherwise every search runs on the windows'
+    prefixes up to the last live output, with ``start`` at the first live
+    output it has not settled: the first one, then, after a hit at k, the
+    first one past k.
 
     K = 2*n*w + 1, with w = max(1, max |value|) over a, b and c.  The a
     and b windows (plain lists of length 2*s, s the interval length) and
-    their prefix maxima are built once per call.  Values of any magnitude
-    are exact.
+    their bounds are built once per call.  Values of any magnitude are
+    exact.
     """
     av, bv, cv, n = _equal_lists(a, b, c)
     w = max(1, max(max(abs(v) for v in vals) for vals in (av, bv, cv)))
@@ -133,7 +143,7 @@ def detect_violations(
     violated = [False] * n
     calls = 0
 
-    def oracle(xa: list, xb: list, xc: list) -> Decision:
+    def oracle(xa: list, xb: list, xc: list) -> object:
         nonlocal calls
         calls += 1
         return upper_bound_oracle(xa, xb, xc)
@@ -142,11 +152,18 @@ def detect_violations(
         part = vals[x * s : (x + 1) * s]
         return part + [pad] * (2 * s - len(part))
 
+    def tops(loc: list) -> list:
+        # Largest entry a split of local output k can take from loc: up to
+        # loc[k] for k < s, from loc[k-s+1 : s] for s <= k < 2s - 1.  The
+        # list ends there, and so does the live test: 2s - 1 has no split.
+        head = loc[:s]
+        return list(accumulate(head, max)) + list(accumulate(reversed(head), max))[-2::-1]
+
     b_locs = [window(bv, y) for y in range(blocks)]
-    b_tops = [list(accumulate(b_loc, max)) for b_loc in b_locs]
+    b_tops = [tops(b_loc) for b_loc in b_locs]
     for x in range(blocks):
         a_loc = window(av, x)
-        a_top = list(accumulate(a_loc, max))
+        a_top = tops(a_loc)
         for y, b_loc in enumerate(b_locs[: blocks - x]):
             base = (x + y) * s
             c_loc = cw[base : base + 2 * s]

@@ -1,5 +1,6 @@
 """Recovering the full convolution from the dominance oracle."""
 
+import functools
 import math
 import random
 from itertools import compress
@@ -122,10 +123,10 @@ def test_detect_violations_masks_above_every_real_sum():
     # a and b at +w and every |c| <= w: each real sum is 2w, so a mask or
     # window entry past n of 2w or less would hide a violation, or count a
     # masked entry again.  K = 2*n*w + 1 stays above them all.  Pair (0, 0)
-    # finds outputs 0, 1 and 2 in 3 + 3 + 2 queries, then one query shows
-    # that output 3 holds there (each of its splits takes a pad); pair
-    # (0, 1) finds output 3 in one query, and pair (1, 0) has no live output.
-    assert detect_violations([5] * 4, [5] * 4, [0] * 4) == ViolationReport((True,) * 4, 10)
+    # finds outputs 0, 1 and 2 in 3 + 2 + 1 queries and asks nothing of
+    # output 3 = 2s - 1, which has no split there; pair (0, 1) finds output
+    # 3 in one query, and pair (1, 0) has no live output.
+    assert detect_violations([5] * 4, [5] * 4, [0] * 4) == ViolationReport((True,) * 4, 7)
 
 
 def test_detect_violations_call_accounting():
@@ -227,24 +228,47 @@ def test_queries_counted_where_they_are_made_match_the_report_seed6008(monkeypat
 
 
 def _window_bound(vals, x, s, k):
-    """max of the interval-x window of vals up to local index k; the -K pads
-    past the interval never exceed a real entry."""
-    return max(vals[x * s : (x + 1) * s][: k + 1])
+    """The largest entry of the interval-x window of vals that a split i + j
+    = k of local output k can use: i runs over max(0, k - s + 1) ..
+    min(k, s - 1), a prefix of the window for k < s and a suffix of its
+    interval for k >= s.  None if no real entry is in range (always so for
+    k = 2s - 1, and past the end of a short last interval)."""
+    lo, hi = max(0, k - s + 1), min(k, s - 1)
+    return max(vals[x * s + lo : x * s + hi + 1], default=None)
+
+
+def _pair_bound(a, b, x, y, s, k):
+    """The two-sided certificate of output k of block pair (x, y), or None
+    if it has no split there."""
+    ta, tb = _window_bound(a, x, s, k), _window_bound(b, y, s, k)
+    return None if ta is None or tb is None else ta + tb
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_bounds(a, b):
+    """_pair_bound of every output of every visited block pair, keyed by the
+    pair; a and b are tuples, so that one table serves many c."""
+    n = len(a)
+    s, blocks = _blocks(n)
+    return {(x, y): [_pair_bound(a, b, x, y, s, k) for k in range(min(2 * s, n - (x + y) * s))]
+            for x in range(blocks) for y in range(blocks - x)}
 
 
 def _searches(a, b, c, pairs=None):
     """The searches detect_violations makes, as (prefix length, start,
     answer), and the outputs it reports, from the live outputs of each
     block pair and a brute-force scan of the window sums.  ``pairs``, if
-    given, gets (c - bound per unmasked output, live, hits) for each pair."""
+    given, gets (c - bound per unmasked output with a split, live, hits)
+    for each pair."""
     n = len(a)
     s, blocks = _blocks(n)
     searches, found = [], set()
+    table = _pair_bounds(tuple(a), tuple(b))
     for x in range(blocks):
         for y in range(blocks - x):
             base = (x + y) * s
-            gap = {k: c[base + k] - _window_bound(a, x, s, k) - _window_bound(b, y, s, k)
-                   for k in range(min(2 * s, n - base)) if base + k not in found}
+            gap = {k: c[base + k] - bound for k, bound in enumerate(table[x, y])
+                   if bound is not None and base + k not in found}
             live = [k for k, d in gap.items() if d < 0]
             hits = [k for k in live if any(
                 a[x * s + i] + b[y * s + k - i] > c[base + k]
@@ -268,7 +292,7 @@ def _searches(a, b, c, pairs=None):
 
 def test_certified_searches_at_the_bound_edges_seed6006(monkeypatch):
     # On the shaped operands of seed6005, c is the convolution with outputs
-    # set at a covering pair's prefix-max bound (never live there), at the
+    # set at a covering pair's two-sided bound (never live there), at the
     # bound - 1 (live), or one below the convolution (violated).  Every
     # search detect_violations makes, through the default oracle and a
     # caller-supplied one, is the one the live lists give, and the report is
@@ -293,8 +317,9 @@ def test_certified_searches_at_the_bound_edges_seed6006(monkeypatch):
                     for g in rng.sample(range(n), rng.randint(0, n)):
                         x, y = rng.choice([(x, t - x) for t in (g // s - 1, g // s)
                                            if 0 <= t < blocks for x in range(t + 1)])
-                        k = g - (x + y) * s
-                        bound = _window_bound(a, x, s, k) + _window_bound(b, y, s, k)
+                        bound = _pair_bound(a, b, x, y, s, g - (x + y) * s)
+                        if bound is None:  # output 2s - 1 of the pair, or past a short block
+                            bound = c[g]
                         c[g] = rng.choice([bound, bound, bound - 1, c[g] - 1])
                     pairs = []
                     want, found = _searches(a, b, c, pairs)
@@ -316,6 +341,79 @@ def test_certified_searches_at_the_bound_edges_seed6006(monkeypatch):
                         if len(hits) >= 2:
                             edges.add("two hits in one pair")
         assert len(edges) == 5, (w, edges)
+
+
+def test_two_sided_certificate_seed6010(monkeypatch):
+    # c is 2w, at least every sum, but at one output: local output k of block
+    # pair (x, y), for k in s - 1, s, s + 1, 2s - 2 and 2s - 1.  From k = s
+    # on, a split of k takes i and j from k - s + 1 .. s - 1, so the pair's
+    # bound is the sum of the maxima of those suffixes of its intervals, and
+    # output 2s - 1 has no split.  At that bound the output gets no query
+    # from the pair; at the bound - 1 it is searched.  n = 130 (s = 11) ends
+    # in a block of 9 entries.  The searches are the ones the live lists
+    # give, and the report is the brute-force one.
+    searches = []
+    inner = decision.detect_single
+
+    def counted(a, b, c, oracle, *, start=0):
+        searches.append((len(c), start, inner(a, b, c, oracle, start=start)))
+        return searches[-1][2]
+
+    monkeypatch.setattr(decision, "detect_single", counted)
+    rng = random.Random(6010)
+    w = 30
+    edges = set()
+    for n in (1, 2, 3, 130):
+        s, blocks = _blocks(n)
+        a, b = rand_seq(rng, n, w), rand_seq(rng, n, w)
+        conv = maxconv_values(a, b, n - 1)
+        names = {"s - 1": s - 1, "s": s, "s + 1": s + 1, "2s - 2": 2 * s - 2, "2s - 1": 2 * s - 1}
+        for p, (x, y) in enumerate((x, y) for x in range(blocks) for y in range(blocks - x)):
+            base = (x + y) * s
+            for k in sorted(set(names.values())):
+                g = base + k
+                if g >= n:
+                    continue
+                bound = _pair_bound(a, b, x, y, s, k)
+                for at in [None] if bound is None else [bound, bound - 1]:
+                    c = [2 * w] * n
+                    c[g] = conv[g] - 1 if at is None else at
+                    searches.clear()
+                    report = detect_violations(a, b, c)
+                    pairs = []
+                    want, found = _searches(a, b, c, pairs)
+                    assert searches == want, (n, x, y, k, at)
+                    assert report.violated == tuple(v > cap for v, cap in zip(conv, c))
+                    assert set(compress(range(n), report.violated)) == found
+                    # The pair's live list; k is missing from gap when no
+                    # split of it exists there, or an earlier pair masked it.
+                    gap, live, _ = pairs[p]
+                    if at is None:
+                        assert k not in gap
+                        case = "no split"
+                    elif at == bound:
+                        assert live == []
+                        case = "at the bound"
+                    else:
+                        assert live == ([k] if k in gap else [])
+                        case = "at the bound - 1" if live else "masked"
+                    edges.update((name, case) for name, v in names.items() if v == k)
+                    if case not in ("at the bound", "at the bound - 1") or k < s:
+                        continue
+                    # Where a suffix started one entry early or late moves
+                    # the bound.  Both suffixes are non-empty here.
+                    a_head, a_tail = a[x * s + k - s], a[x * s + k - s + 1 : (x + 1) * s]
+                    b_head, b_tail = b[y * s + k - s], b[y * s + k - s + 1 : (y + 1) * s]
+                    if at == bound and (a_head > max(a_tail) or b_head > max(b_tail)):
+                        edges.add("entry k - s above the bound")
+                    if at < bound and all(v < a_tail[0] for v in a_tail[1:]):
+                        edges.add("suffix max only at k - s + 1")
+        if n == 130:
+            assert (s, n - (blocks - 1) * s) == (11, 9)
+    want_edges = {(name, case) for name in names for case in ("at the bound", "at the bound - 1")}
+    want_edges -= {("2s - 1", "at the bound"), ("2s - 1", "at the bound - 1")}
+    want_edges |= {("2s - 1", "no split"), "entry k - s above the bound", "suffix max only at k - s + 1"}
+    assert want_edges <= edges, want_edges - edges
 
 
 def _shaped(rng, shape, n, w):
@@ -385,6 +483,39 @@ def test_the_search_builds_no_sequence_seed6009(monkeypatch):
     assert built == []
     assert max_conv_via_upperbound(a, b).values == tuple(maxconv_values(a, b, 39))
     assert built == [40]
+
+
+def test_the_default_oracle_builds_no_decision_seed6011(monkeypatch):
+    # The default oracle returns a bare bool: the route builds no
+    # core.Decision, per query or otherwise, while check_upper_bound as the
+    # oracle builds one per query.  An oracle that returns a plain bool gets
+    # the report check_upper_bound gets.
+    built = []
+    init = core.Decision.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def plain(a, b, c):
+        return all(a[i] + b[k - i] <= c[k] for k in range(len(c)) for i in range(k + 1))
+
+    monkeypatch.setattr(core.Decision, "__init__", counted)
+    rng = random.Random(6011)
+    for n in (1, 2, 3, 10, 17, 40):
+        a, b = rand_seq(rng, n, 200), rand_seq(rng, n, 200)
+        built.clear()
+        assert max_conv_via_upperbound(a, b).values == tuple(maxconv_values(a, b, n - 1))
+        assert built == []
+        c = maxconv_values(a, b, n - 1)
+        for k in rng.sample(range(n), rng.randint(0, n)):
+            c[k] += rng.randint(-3, 1)
+        report = detect_violations(a, b, c)
+        assert built == []
+        checked = detect_violations(a, b, c, check_upper_bound)
+        assert len(built) == checked.oracle_calls
+        assert detect_violations(a, b, c, plain) == checked == report
+        assert report.violated == _brute_violated(a, b, c)
 
 
 def test_via_upperbound_accepts_reduction_chain_oracle():
@@ -460,8 +591,8 @@ def _first_violating_pair(a, b, c):
 def test_dominates_on_padded_windows_seed6001():
     # Windows built as detect_violations builds them, padded with -K (a, b)
     # and K (c past n, and masked hits): every prefix query, in a shuffled
-    # order, gets from _dominates the verdict and the witness a brute-force
-    # scan finds.  c reaches -w, the least value it can hold, so a sum with
+    # order, gets from _dominates the verdict, and from check_upper_bound the
+    # verdict and the witness, that a brute-force scan finds.  c reaches -w, the least value it can hold, so a sum with
     # a pad is tested against the tightest cap.
     rng = random.Random(6001)
     lengths = [1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 35, 36, 37, 50]
@@ -491,8 +622,9 @@ def test_dominates_on_padded_windows_seed6001():
                 rng.shuffle(prefixes)
                 for p in prefixes:
                     args = a_loc[:p], b_loc[:p], c_loc[:p]
-                    got = _dominates(*args)
                     want = _first_violating_pair(*args)
+                    assert _dominates(*args) is (want is None)
+                    got = check_upper_bound(*args)
                     assert (got.holds, got.witness) == (want is None, want)
 
 
