@@ -165,9 +165,8 @@ def color_coding(
         (trial_seq,) = root.spawn(1)
         gen = np.random.Generator(np.random.PCG64(trial_seq))
         buckets: dict[int, list[tuple[int, int]]] = {}
-        if zs:
-            for item, part in zip(zs, gen.integers(0, parts_total, size=len(zs))):
-                buckets.setdefault(int(part), []).append(item)
+        for item, part in zip(zs, gen.integers(0, parts_total, size=len(zs))):
+            buckets.setdefault(int(part), []).append(item)
         cur = np.zeros(t + 1, dtype=dtype)
         for part_idx in sorted(buckets):
             cur = _join_part(cur, buckets[part_idx])
@@ -216,9 +215,8 @@ def color_coding_layer(
     seqs = root.spawn(m + 1)
     gen = np.random.Generator(np.random.PCG64(seqs[0]))
     parts: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    if zs:
-        for item, part in zip(zs, gen.integers(0, m, size=len(zs))):
-            parts[int(part)].append(item)
+    for item, part in zip(zs, gen.integers(0, m, size=len(zs))):
+        parts[int(part)].append(item)
     profs = [
         np.array(color_coding(parts[j], cap, gamma, share, seqs[j + 1]).best, dtype=dtype)
         for j in range(m)
@@ -247,10 +245,6 @@ def knapsack_rand(inst: KnapsackInstance, delta: float, rng: SeedLike) -> ValueP
     layers = max(1, (len(zs) - 1).bit_length())  # ceil(log2 |zs|)
     share = _check_delta(delta, 0.25, layers)
     root = _seedseq(rng)
-    if t == 0:
-        return ValueProfile((0,))
-    if not zs:
-        return ValueProfile(tuple([0] * (t + 1)))
     buckets: list[list[tuple[int, int]]] = [[] for _ in range(layers + 1)]
     for w, v in zs:
         layer = layers

@@ -82,7 +82,7 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
     optimum exceeds D exactly when some a'[i] + a'[j] > a'[i+j].
 
     The input is first rewritten non-negative strictly increasing; a
-    positive leading element short-circuits to NO, a single element to YES.
+    positive leading element short-circuits to NO.
     D must exceed the value of ANY multiset of light items (repetition is
     allowed, so a sum-based threshold is not enough: light items fill at
     most the full capacity 2n-1 at value <= max(a') each unit), hence
@@ -90,7 +90,8 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
     exactly one heavy item, and superadditivity lets the light remainder
     be merged into the single matching partner.
 
-    Growth: none, or 2n-1 items at capacity 2n-1, values <= (2n-1)n(W+1) + 1.
+    Growth: none (a[0] > 0), or 2n-1 items at capacity 2n-1, values
+    <= (2n-1)n(W+1) + 1.
     """
     av = as_values(a)
     norm = normalize_nonneg_monotone(av)
@@ -98,8 +99,6 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
         return _constant_outcome(False)
     ap = list(norm[0].values)
     n = len(ap)
-    if n == 1:
-        return _constant_outcome(True)
     d = (2 * n - 1) * max(ap) + 1
     items = [(i, ap[i]) for i in range(1, n)]
     items += [(2 * n - 1 - i, d - ap[i]) for i in range(n)]

@@ -419,6 +419,21 @@ def test_solve_rand_reports_agreement(tmp_path):
     assert "wall_time_s" in report
 
 
+def test_solve_rand_counts_zero_weights_at_capacity_zero(tmp_path):
+    # `gen` draws weights from 1..max(1, t), so no crosscheck reaches this.
+    path = tmp_path / "free.json"
+    path.write_text(
+        dump_instance("knapsack01", {"items": [[0, 5], [0, 3], [1, 2]], "capacity": 0})
+    )
+    for seed in range(5):
+        code, out = run_cli(
+            ["solve", "--input", str(path), "--method", "rand", "--seed", str(seed), "--check"]
+        )
+        report = json.loads(out)
+        assert (code, report["oracle_agreement"]) == (0, True)
+        assert report["answer"]["value_at_capacity"] == 8
+
+
 def _solve(args):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -22,9 +22,11 @@ from maxconv.core import maxconv_values
 from helpers import brute_maxconv, rand_items
 
 # sha256 over the profiles of test_profiles_are_pinned_by_seed, in its loop
-# order, recorded while every part join still ran on the dense kernel.  Any
-# change to the seeds-to-profiles mapping moves it.
-PROFILE_DIGEST = "f21a59d6b5076d9d2ade8cc842ef863844d70b693578fff78ff26feaddc187a8"
+# order.  Any change to the seeds-to-profiles mapping moves it.  Its
+# profiles are the ones every part join gave on the dense kernel, but for
+# knapsack_rand at t = 0 with a zero-weight item of positive value (golden
+# cases 0, 6, 23, 28, 32, 40, 59 and 80), which read knapsack01_dp's optimum.
+PROFILE_DIGEST = "bfafa8edcce261c8b9e2bb0942a6ae918d5b9a4c2e9c146a2ed2f12f5d08b32c"
 
 # (items, t, color_coding's profile when every join ran on the dense kernel,
 # None where that raised OverflowError for every seed below).  Their sums
@@ -162,6 +164,9 @@ def test_knapsack_rand_single_item_exact():
     for seed in range(30):
         prof = knapsack_rand(KnapsackInstance([(3, 9)], 7), 0.25, seed)
         assert list(prof) == [0, 0, 0, 9, 9, 9, 9, 9]
+        # a zero-weight item counts at every capacity, 0 included
+        assert list(knapsack_rand(KnapsackInstance([(0, 4)], 0), 0.25, seed)) == [4]
+        assert list(knapsack_rand(KnapsackInstance([(0, 4)], 7), 0.25, seed)) == [4] * 8
 
 
 def test_knapsack_rand_deterministic_under_seed():
@@ -171,6 +176,29 @@ def test_knapsack_rand_deterministic_under_seed():
     assert list(a) == list(b)
     c = knapsack_rand(KnapsackInstance(items, 9), 0.05, 1235)
     assert len(c) == len(a)  # different seed still a full profile
+
+
+def test_knapsack_rand_zero_weights_at_small_capacities_seed5013():
+    # Mostly zero-weight items at t <= 2: never above the optimum, and the
+    # share of missed entries within 2 * delta, as in the example instance.
+    rng = random.Random(5013)
+    delta = 0.05
+    entries = misses = 0
+    for trial in range(300):
+        t = rng.choice([0, 1, 2])
+        n = rng.randint(1, 8)
+        items = [
+            (0 if rng.random() < 0.75 else rng.randint(1, t + 1), rng.randint(0, 20))
+            for _ in range(n)
+        ]
+        inst = KnapsackInstance(items, t)
+        dp = knapsack01_dp(inst)
+        prof = knapsack_rand(inst, delta, trial)
+        assert len(prof) == t + 1
+        assert all(x <= y for x, y in zip(prof, dp))
+        entries += t + 1
+        misses += sum(x < y for x, y in zip(prof, dp))
+    assert misses <= 2 * delta * entries
 
 
 def test_knapsack_rand_edge_cases():
@@ -225,7 +253,7 @@ def test_knapsack_rand_validates_arguments():
         knapsack_rand(KnapsackInstance(items, 3), 0.5, 7)
     with pytest.raises(TypeError):
         knapsack_rand(KnapsackInstance(items, 3), 0.05, "x")
-    # Checked before the degenerate shortcuts, not only when joins run.
+    # Checked on an instance with no items and no capacity, too.
     with pytest.raises(TypeError):
         knapsack_rand(KnapsackInstance([], 0), 0.05, "x")
 

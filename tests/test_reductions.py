@@ -96,8 +96,12 @@ def _superadd_via_unbounded(seq) -> bool:
 def test_superadd_to_unbounded_short_circuits():
     out = reduce_superadditivity_to_unbounded([1, 5])
     assert out.instances == () and out.interpret([]) is False
+    # A single element takes the general construction: normalised to [0],
+    # one item (1, 1) at capacity 1, worth the threshold D = 1.
     out = reduce_superadditivity_to_unbounded([-3])
-    assert out.instances == () and out.interpret([]) is True
+    (inst,) = out.instances
+    assert (inst.items, inst.capacity) == (((1, 1),), 1)
+    assert out.interpret([unbounded_knapsack_dp(inst)]) is True
 
 
 def test_superadd_to_unbounded_structure():
