@@ -235,11 +235,13 @@ def knapsack_rand(inst: KnapsackInstance, delta: float, rng: SeedLike) -> ValueP
     """Randomised 0/1-knapsack profile of ``inst`` over capacities 0..t.
 
     Items are routed to layers (t/2^i, t/2^(i-1)], the last layer taking
-    everything at or below t/2^(layers-1); each layer runs the layer solver
-    with budget 2^i and failure share delta/layers, and layer profiles are
-    joined at capacity t.  Never exceeds the exact optimum; each entry
-    matches it with probability at least 1 - delta.  The instance's
-    constructor has checked the items and dropped those heavier than t.
+    everything at or below t/2^(layers-1): item (w, v) goes to layer
+    min(layers, (t // w).bit_length()), or to the last one when w = 0.
+    Each layer runs the layer solver with budget 2^i and failure share
+    delta/layers, and layer profiles are joined at capacity t.  Never
+    exceeds the exact optimum; each entry matches it with probability at
+    least 1 - delta.  The instance's constructor has checked the items and
+    dropped those heavier than t.
     """
     t, zs = inst.capacity, inst.items
     layers = max(1, (len(zs) - 1).bit_length())  # ceil(log2 |zs|)
@@ -247,12 +249,7 @@ def knapsack_rand(inst: KnapsackInstance, delta: float, rng: SeedLike) -> ValueP
     root = _seedseq(rng)
     buckets: list[list[tuple[int, int]]] = [[] for _ in range(layers + 1)]
     for w, v in zs:
-        layer = layers
-        for i in range(1, layers):
-            if w * (1 << i) > t:
-                layer = i
-                break
-        buckets[layer].append((w, v))
+        buckets[min(layers, (t // w).bit_length()) if w else layers].append((w, v))
     seqs = root.spawn(layers)
     dtype = _profile_dtype(zs)
     acc = np.zeros(t + 1, dtype=dtype)

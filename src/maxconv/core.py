@@ -372,7 +372,7 @@ def check_lower_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Deci
     On failure the witness is the smallest k with no adequate decomposition.
     """
     av, bv, cv, n = _equal_lists(a, b, c)
-    conv = maxconv_values(av, bv, n - 1)
+    conv = resolve_kernel()(av, bv, n - 1)
     for k in range(n):
         if conv[k] < cv[k]:
             return Decision(False, k)

@@ -4,12 +4,12 @@ Each reduction builds target-problem instances plus an interpretation rule
 mapping target answers back to the source answer.  The rules are total:
 whatever the target oracle returns, ``interpret`` produces a source answer.
 Soundness is established empirically in the test suite by running the
-direct solver and the reduction route side by side.
+direct solver and the reduction route side by side.  The one exception,
+``tree_sparsity_via_maxconv``, returns the root vector, not an outcome.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,8 +93,7 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
     Growth: none (a[0] > 0), or 2n-1 items at capacity 2n-1, values
     <= (2n-1)n(W+1) + 1.
     """
-    av = as_values(a)
-    norm = normalize_nonneg_monotone(av)
+    norm = normalize_nonneg_monotone(a)
     if norm is None:
         return _constant_outcome(False)
     ap = list(norm[0].values)
@@ -214,10 +213,13 @@ def reduce_superadditivity_to_mcsp(a: SequenceLike) -> ReductionOutcome:
 def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
     """Root sparsity vector computed through heavy-path decomposition.
 
-    The tree is covered by spines that always descend into the child with
-    the larger subtree; a spine's vector is assembled by halving the spine
-    interval and merging the halves with two convolutions.  Off-spine
-    children are heads of deeper spines, solved first.
+    ``spine_vector(head)`` walks the spine from ``head`` into the child with
+    the larger subtree, folds each spine node's light children (their own
+    spine vectors) into its attachment vector, then halves the spine
+    interval and merges the halves with two convolutions.  No merge runs
+    while the recursion descends, and a light child holds at most half of
+    its parent's subtree, so it is at most floor(log2 n) + 1 spine_vector
+    frames deep.  A path of n nodes makes 2(n - 1) kernel calls.
     """
     kids = tree.children()
     sizes = [1] * tree.n
@@ -225,32 +227,21 @@ def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
         for c in kids[v]:
             sizes[v] += sizes[c]
 
-    # Spines in discovery order; heads hanging off a spine appear later,
-    # so processing in reverse order resolves dependencies bottom-up.
-    spines: list[list[int]] = []
-    heads = deque([tree.root])
-    while heads:
-        head = heads.popleft()
-        spine = [head]
-        while kids[spine[-1]]:
-            heavy = max(kids[spine[-1]], key=lambda c: (sizes[c], -c))
-            heads.extend(c for c in kids[spine[-1]] if c != heavy)
-            spine.append(heavy)
-        spines.append(spine)
-
-    vec: dict[int, list[int]] = {}
-    for spine in reversed(spines):
-        ell = len(spine)
-        # Attachment vector per spine node: joint profile of all off-spine
+    def spine_vector(head: int) -> list[int]:
+        # Attachment vector per spine node: joint profile of all its light
         # children, or the vector (0) when there are none.
         u_at: list[list[int]] = []
-        for idx, s in enumerate(spine):
-            off = [c for c in kids[s] if idx + 1 >= ell or c != spine[idx + 1]]
+        weights: list[int] = []
+        v = head
+        while v is not None:
+            below = max(kids[v], key=lambda c: (sizes[c], -c), default=None)
             acc = [0]
-            for c in off:
-                acc = maxconv_values(acc, vec[c])
+            for c in kids[v]:
+                if c != below:
+                    acc = maxconv_values(acc, spine_vector(c))
             u_at.append(acc)
-        weights = [tree.weight[s] for s in spine]
+            weights.append(tree.weight[v])
+            v = below
 
         def solve(a: int, b: int) -> tuple[list[int], list[int]]:
             # Returns (attachment profile over spine[a..b],
@@ -276,10 +267,9 @@ def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
             y = y_left[:taken] + list(map(max, y_left[taken:], through[:cut])) + through[cut:]
             return u, y
 
-        _, head_vec = solve(0, ell - 1)
-        vec[spine[0]] = head_vec
+        return solve(0, len(weights) - 1)[1]
 
-    out = vec[tree.root]
+    out = spine_vector(tree.root)
     assert len(out) == tree.n + 1
     return out
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxconv import KERNELS, Sequence, cli
+from maxconv import KERNELS, Sequence, cli, core
 from maxconv.cli import METHODS, main
 from maxconv.serialize import (
     PROBLEMS,
@@ -729,3 +729,31 @@ def test_every_route_is_exact_past_the_word_seed7001():
                         assert got[1] is False, (problem, name, values, payload)
                     else:
                         assert got == (True, False), (problem, name, values, payload)
+
+
+def test_methods_take_payload_objects_as_built_seed7002(monkeypatch):
+    # Building the objects is the payload's one check: no method but
+    # maxconv/via-upperbound (whose detect_single re-checks its windows)
+    # runs the integer-list check on a payload field again.
+    scanned = []
+    check = core._int_values
+
+    def recorded_check(values):
+        if isinstance(values, (list, tuple)):
+            scanned.append(list(values))
+        return check(values)
+
+    rng = random.Random(7002)
+    for problem, methods in METHODS.items():
+        for name, solve in methods.items():
+            if (problem, name) == ("maxconv", "via-upperbound"):
+                continue
+            for _ in range(5):
+                payload = gen_payload(problem, rng, {"n": 6, "values": 100})
+                objs = payload_objects(problem, payload)
+                fields = [list(v) for v in payload.values() if isinstance(v, (list, tuple))]
+                scanned.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(core, "_int_values", recorded_check)
+                    solve(objs, {"delta": 0.25, "seed": 0})
+                assert not [v for v in scanned if v in fields], (problem, name, payload)

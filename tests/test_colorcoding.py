@@ -201,6 +201,38 @@ def test_knapsack_rand_zero_weights_at_small_capacities_seed5013():
     assert misses <= 2 * delta * entries
 
 
+def test_knapsack_rand_layers_seed5014(monkeypatch):
+    # Layer i < layers holds the items with t/2^i < w <= t/2^(i-1), the last
+    # layer everything at or below t/2^(layers-1), zero weights included.
+    # Weights t >> j put w * 2^j = t exactly when 2^j divides t.
+    calls = []
+    layer = colorcoding.color_coding_layer
+
+    def recorded_layer(items, t, l, delta, rng):
+        calls.append((list(items), l))
+        return layer(items, t, l, delta, rng)
+
+    monkeypatch.setattr(colorcoding, "color_coding_layer", recorded_layer)
+    rng = random.Random(5014)
+    for trial in range(60):
+        t = rng.choice([0, 1, 2, 3, 8, 64, 96, 1000, rng.randint(1, 1000)])
+        pool = [0, t] + [t >> j for j in range(1, 11)] + [rng.randint(0, t) for _ in range(4)]
+        items = [(rng.choice(pool), rng.randint(0, 50)) for _ in range(rng.randint(1, 40))]
+        layers = max(1, (len(items) - 1).bit_length())
+        calls.clear()
+        prof = knapsack_rand(KnapsackInstance(items, t), 0.25, trial)
+        assert all(x <= y for x, y in zip(prof, knapsack01_dp(KnapsackInstance(items, t))))
+        assert sorted(item for got, _ in calls for item in got) == sorted(items)
+        for got, l in calls:
+            i = l.bit_length() - 1
+            assert got and l == 1 << i and 1 <= i <= layers
+            for w, _ in got:
+                if i < layers:
+                    assert w * 2**i > t >= w * 2 ** (i - 1), (w, t, i)
+                else:
+                    assert w * 2 ** (layers - 1) <= t, (w, t, i)
+
+
 def test_knapsack_rand_edge_cases():
     assert list(knapsack_rand(KnapsackInstance([], 4), 0.1, 0)) == [0] * 5
     assert list(knapsack_rand(KnapsackInstance([(1, 2)], 0), 0.1, 0)) == [0]

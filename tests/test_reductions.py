@@ -1,6 +1,7 @@
 """Each transformation against the direct solvers on both sides."""
 
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -26,6 +27,7 @@ from maxconv import (
     tree_sparsity_via_maxconv,
     unbounded_knapsack_dp,
 )
+from maxconv import core
 
 from helpers import rand_bound_triple, rand_seq, rand_superadd_candidate, rand_tree
 
@@ -261,6 +263,40 @@ def test_tree_sparsity_via_maxconv_random_seed3007():
             weight = [rng.randint(0, wmax) for _ in range(n)]
             tree = WeightedTree(tuple(_shaped_parents(rng, shape, n)), tuple(weight))
             assert tree_sparsity_via_maxconv(tree) == tree_sparsity_dp(tree), (shape, n)
+
+
+def test_tree_sparsity_via_maxconv_long_path_and_deep_binary_tree():
+    # A 20,000-node path is one spine; a complete binary tree of 2^13 - 1
+    # nodes nests 13 spines.  Both run at the default recursion limit.
+    rng = random.Random(3011)
+    n = 20_000
+    weight = [rng.randint(0, 10**6) for _ in range(n)]
+    path = WeightedTree(tuple(i - 1 for i in range(n)), tuple(weight))
+    assert tree_sparsity_via_maxconv(path) == list(accumulate(weight, initial=0))
+    n = 2**13 - 1
+    binary = WeightedTree(tuple((i - 1) // 2 for i in range(n)), (1,) * n)
+    assert tree_sparsity_via_maxconv(binary) == list(range(n + 1))
+
+
+def test_tree_sparsity_via_maxconv_kernel_calls(monkeypatch):
+    # A path's n - 1 spine merges make two calls each; a star's root spine
+    # is the root and one leaf (one merge, two calls), and its other n - 2
+    # leaves are folded into the root's attachment vector, one call each.
+    calls = []
+    kernel = core.KERNELS["naive"]
+    monkeypatch.setitem(
+        core.KERNELS, "naive", lambda a, b, limit: calls.append(1) or kernel(a, b, limit)
+    )
+    for n in (1, 2, 3, 7, 50):
+        calls.clear()
+        path = WeightedTree(tuple(i - 1 for i in range(n)), tuple(range(n)))
+        assert tree_sparsity_via_maxconv(path) == tree_sparsity_dp(path)
+        assert len(calls) == 2 * (n - 1), n
+        if n >= 2:
+            calls.clear()
+            star = WeightedTree((-1,) + (0,) * (n - 1), tuple(range(n)))
+            assert tree_sparsity_via_maxconv(star) == tree_sparsity_dp(star)
+            assert len(calls) == n, n
 
 
 # ---------------------------------------------------------------------------
