@@ -22,7 +22,6 @@ from .core import (
     max_conv,
     maxconv_values,
     min_conv,
-    normalize_nonneg_monotone,
     resolve_kernel,
 )
 from .decision import (
@@ -81,7 +80,6 @@ __all__ = [
     "mcsp_brute",
     "min_conv",
     "necklace_linf_brute",
-    "normalize_nonneg_monotone",
     "reduce_lowerbound_to_necklace",
     "reduce_mcsp_to_maxconv",
     "reduce_superadditivity_to_mcsp",

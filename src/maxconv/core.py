@@ -320,18 +320,18 @@ def check_upper_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Deci
 
     On failure the witness is the violating (i, j) with the smallest i + j,
     and among those the smallest i, found by a scan of that output after
-    the one kernel call.  The decision route's default oracle,
-    ``_dominates``, makes the same call and returns only the verdict.
+    one kernel call on the whole lists.  The decision route's default
+    oracle, ``_dominates``, makes the same call and returns only the verdict.
     """
     av, bv, cv, _ = _equal_lists(a, b, c)
     return _witnessed(av, bv, cv)
 
 
 def _witnessed(av: list, bv: list, cv: list) -> Decision:
-    """check_upper_bound on checked lists: the one kernel call of
-    ``_bounded_conv``, then a scan of the first violated output for its
-    witness.  Shared by check_upper_bound and is_superadditive."""
-    conv = _bounded_conv(av, bv, cv)
+    """check_upper_bound on checked lists: one kernel call on the lists as
+    handed, then a scan of the first violated output for its witness.
+    Shared by check_upper_bound and is_superadditive."""
+    conv = resolve_kernel()(av, bv, len(cv) - 1)
     for k, (best, cap) in enumerate(zip(conv, cv)):
         if best > cap:
             i = next(i for i in range(k + 1) if av[i] + bv[k - i] > cap)
@@ -341,29 +341,10 @@ def _witnessed(av: list, bv: list, cv: list) -> Decision:
 
 def _dominates(av: list, bv: list, cv: list) -> bool:
     """The verdict of check_upper_bound, and nothing else, on non-empty,
-    equal-length lists that have already passed ``as_values``: it runs no
-    check of its own, builds no Decision and looks for no witness.  This
-    is the decision route's default oracle."""
-    return not any(map(gt, _bounded_conv(av, bv, cv), cv))
-
-
-def _bounded_conv(av: list, bv: list, cv: list) -> list:
-    """The convolution's outputs that can exceed cv, from one kernel call.
-
-    An entry of av whose sum with max(bv) is at most min(cv) is in no
-    violation, nor is such an entry of bv against max(av), so the kernel
-    call leaves out each operand's trailing run of them (keeping at least
-    one entry).  The sums left out are at most min(cv): every output is
-    violated iff it is in the smaller product, and none past its end is,
-    so the first violated output and its witness are unchanged.
-    """
-    low, ra, rb = min(cv), len(av), len(bv)
-    top_a, top_b = max(av), max(bv)
-    while ra > 1 and av[ra - 1] + top_b <= low:
-        ra -= 1
-    while rb > 1 and bv[rb - 1] + top_a <= low:
-        rb -= 1
-    return resolve_kernel()(av[:ra], bv[:rb], min(len(cv), ra + rb - 1) - 1)
+    equal-length lists that have already passed ``as_values``: one kernel
+    call on the lists as handed, and no check, Decision or witness search
+    of its own.  This is the decision route's default oracle."""
+    return not any(map(gt, resolve_kernel()(av, bv, len(cv) - 1), cv))
 
 
 def check_lower_bound(a: SequenceLike, b: SequenceLike, c: SequenceLike) -> Decision:
@@ -388,24 +369,3 @@ def is_superadditive(a: SequenceLike) -> Decision:
     av = as_values(a)
     return _witnessed(av, av, av)
 
-
-def normalize_nonneg_monotone(a: SequenceLike) -> tuple[Sequence, int] | None:
-    """Rewrite a sequence with the same superadditivity verdict, zeroing the
-    head and adding C*i with C = max|a[i]| + 1 (the smallest legal slope).
-
-    The result is always non-negative with a zero head.  Whenever the
-    verdict can be YES it is also strictly increasing: superadditivity of
-    the rewrite forces a'[i] + a'[1] <= a'[i+1] with a'[1] >= 1.  Inputs
-    that swing down faster than C produce a non-monotone rewrite, but such
-    inputs are never superadditive, so every consumer that needs
-    monotonicity gets it exactly when it matters.
-
-    Returns None when a[0] > 0: that alone already refutes superadditivity,
-    no rewrite can represent it.
-    """
-    av = as_values(a)
-    if av[0] > 0:
-        return None
-    c = max(abs(v) for v in av) + 1
-    out = [0] + [c * i + av[i] for i in range(1, len(av))]
-    return Sequence(out), c

@@ -19,7 +19,6 @@ from .core import (
     _equal_lists,
     as_values,
     maxconv_values,
-    normalize_nonneg_monotone,
 )
 from .oracles import KnapsackInstance, NecklaceInstance, WeightedTree
 
@@ -81,8 +80,17 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
     """Pair weights i and 2n-1-i so that value D is always reachable; the
     optimum exceeds D exactly when some a'[i] + a'[j] > a'[i+j].
 
-    The input is first rewritten non-negative strictly increasing; a
-    positive leading element short-circuits to NO.
+    A positive leading element alone refutes superadditivity (the pair
+    (0, 0) violates), so it short-circuits to NO.  Otherwise the input is
+    rewritten as a'[0] = 0 and a'[i] = C*i + a[i], which keeps the verdict:
+    the term C*i cancels on both sides of every pair with i, j >= 1, and
+    zeroing the head keeps every pair with i = 0 true, as a[0] <= 0 made
+    it.  C = max|a[i]| + 1 is the smallest slope that works for every input
+    of that magnitude: it makes a' non-negative with a'[1] >= 1.  Then a'
+    is strictly increasing on every YES input (superadditivity forces
+    a'[i] + a'[1] <= a'[i+1]); inputs that swing down faster than C give
+    a non-monotone a', but those are never superadditive, so monotonicity
+    holds whenever it matters.
     D must exceed the value of ANY multiset of light items (repetition is
     allowed, so a sum-based threshold is not enough: light items fill at
     most the full capacity 2n-1 at value <= max(a') each unit), hence
@@ -93,11 +101,12 @@ def reduce_superadditivity_to_unbounded(a: SequenceLike) -> ReductionOutcome:
     Growth: none (a[0] > 0), or 2n-1 items at capacity 2n-1, values
     <= (2n-1)n(W+1) + 1.
     """
-    norm = normalize_nonneg_monotone(a)
-    if norm is None:
+    av = as_values(a)
+    if av[0] > 0:
         return _constant_outcome(False)
-    ap = list(norm[0].values)
-    n = len(ap)
+    n = len(av)
+    slope = max(map(abs, av)) + 1
+    ap = [0] + [slope * i + av[i] for i in range(1, n)]
     d = (2 * n - 1) * max(ap) + 1
     items = [(i, ap[i]) for i in range(1, n)]
     items += [(2 * n - 1 - i, d - ap[i]) for i in range(n)]

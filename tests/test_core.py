@@ -1,4 +1,4 @@
-"""Kernels, decision predicates, and normalization."""
+"""Kernels and decision predicates."""
 
 import enum
 import random
@@ -17,7 +17,6 @@ from maxconv import (
     max_conv,
     maxconv_values,
     min_conv,
-    normalize_nonneg_monotone,
 )
 
 from helpers import brute_maxconv, brute_superadd, rand_seq, rand_superadd_candidate
@@ -523,31 +522,6 @@ def test_predicate_witnesses_are_genuine_seed1005():
             assert a[i] + a[j] > a[i + j]
         assert dec.witness == _first_superadd_violation(a)
     assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
-
-
-def test_normalize_examples():
-    seq, c = normalize_nonneg_monotone([0, 0, 0])
-    assert seq == [0, 1, 2] and c == 1
-    seq, c = normalize_nonneg_monotone([0, -1, 5])
-    assert seq == [0, 5, 17] and c == 6
-    assert normalize_nonneg_monotone([1, 0]) is None
-
-
-def test_normalize_preserves_verdict_seed1007():
-    rng = random.Random(1007)
-    for _ in range(1000):
-        n = rng.randint(1, 14)
-        a = rand_seq(rng, n, 8)
-        norm = normalize_nonneg_monotone(a)
-        if norm is None:
-            assert a[0] > 0 and not brute_superadd(a)
-            continue
-        vals = list(norm[0])
-        assert vals[0] == 0 and all(v >= 0 for v in vals)
-        assert brute_superadd(vals) == brute_superadd(a)
-        if brute_superadd(a):
-            # monotonicity is guaranteed exactly on the YES side
-            assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
 def test_sequence_validation():

@@ -29,7 +29,7 @@ from maxconv import (
 )
 from maxconv import core
 
-from helpers import rand_bound_triple, rand_seq, rand_superadd_candidate, rand_tree
+from helpers import brute_superadd, rand_bound_triple, rand_seq, rand_superadd_candidate, rand_tree
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,39 @@ def test_superadd_to_unbounded_optimum_at_least_threshold_seed3002():
             inst = out.instances[0]
             (d,) = [v for w, v in inst.items if w == inst.capacity]
             assert unbounded_knapsack_dp(inst)[inst.capacity] >= d
+
+
+def _rewrite(a):
+    """The non-negative rewrite a' the reduction built, read off its target:
+    a head of 0, then the light items' values (weights 1..n-1, the first
+    n - 1 items in sorted order).  None when the reduction built no instance."""
+    out = reduce_superadditivity_to_unbounded(a)
+    if not out.instances:
+        return None
+    (inst,) = out.instances
+    return [0] + [v for w, v in sorted(inst.items)[: len(a) - 1]]
+
+
+def test_superadd_to_unbounded_rewrite_examples():
+    assert _rewrite([0, 0, 0]) == [0, 1, 2]
+    assert _rewrite([0, -1, 5]) == [0, 5, 17]
+    assert _rewrite([1, 0]) is None
+
+
+def test_superadd_to_unbounded_rewrite_preserves_verdict_seed1007():
+    rng = random.Random(1007)
+    for _ in range(1000):
+        n = rng.randint(1, 14)
+        a = rand_seq(rng, n, 8)
+        vals = _rewrite(a)
+        if vals is None:
+            assert a[0] > 0 and not brute_superadd(a)
+            continue
+        assert vals[0] == 0 and all(v >= 0 for v in vals)
+        assert brute_superadd(vals) == brute_superadd(a)
+        if brute_superadd(a):
+            # monotonicity is guaranteed exactly on the YES side
+            assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
