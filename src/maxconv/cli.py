@@ -278,7 +278,7 @@ def _cmd_bench(args) -> int:
     solve = _method(args.problem, args.method)
     print(f"# platform: {platform.platform()}")
     print(f"# python: {platform.python_version()}  numpy: {np.__version__}")
-    print(f"# repeats: 5 (median reported)")
+    print("# repeats: 5 (median reported)")
     print("problem,method,size,median_seconds")
     rng = random.Random(args.seed)
     run_opts = _run_opts(args, args.seed)

@@ -35,11 +35,6 @@ _VECTOR_CUTOFF = 2048
 _TILE_ROWS = 16
 _TILE_COLS = 4096
 
-# Each lane's (min, max), looked up once: np.iinfo costs about 1.5 us a call.
-_LANE_RANGE = {
-    lane: (int(np.iinfo(lane).min), int(np.iinfo(lane).max)) for lane in (np.int32, np.int64)
-}
-
 
 def _int_values(values: Iterable) -> Union[list, tuple]:
     """The one integer-sequence check, behind Sequence and as_values.
@@ -169,48 +164,39 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
         or max(hi_a, hi_b, hi_a + hi_b) > WORD_MAX
     ):
         return _maxconv_plain(a, b, limit)
-    lane = np.int32 if span <= _LANE_RANGE[np.int32][1] else np.int64
-    out = _tiled_maxconv(a, lo_a, b, lo_b, limit, lane)
+    lane = np.int32 if span <= np.iinfo(np.int32).max else np.int64
+    av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    av -= lo_a
+    bv -= lo_b
+    out = _tiled_maxconv(av.astype(lane, copy=False), bv.astype(lane, copy=False), limit)
     out = out.astype(np.int64, copy=False)
     out += lo_a + lo_b
     return out.tolist()
 
 
-def _lane_array(values: list, low: int, lane, pad: int = 0) -> np.ndarray:
-    """``values - low`` in the lane dtype (``low`` is ``min(values)``), with
-    ``pad`` sentinels (the lane's minimum) on each side.  The shift is taken
-    in int64, exact on every call the kernel's span check lets through.  A
-    sentinel plus any shifted value stays negative and cannot wrap."""
-    wide = np.array(values, dtype=np.int64)
-    wide -= low
-    arr = np.full(len(values) + 2 * pad, _LANE_RANGE[lane][0], dtype=lane)
-    arr[pad : pad + len(values)] = wide
-    return arr
-
-
-def _tiled_maxconv(a: list, lo_a: int, b: list, lo_b: int, limit: int, lane) -> np.ndarray:
-    """(max,+)-convolution of ``a - lo_a`` and ``b - lo_b`` up to ``limit``,
-    in the lane dtype; ``lo_*`` is each operand's minimum and the caller has
-    checked that every sum fits the lane."""
-    th = _TILE_ROWS
-    rows = min(len(a), limit + 1)
+def _tiled_maxconv(av: np.ndarray, bv: np.ndarray, limit: int) -> np.ndarray:
+    """(max,+)-convolution of the non-negative arrays ``av`` (the shorter)
+    and ``bv`` of one lane dtype, up to ``limit``, in that dtype; the caller
+    has checked that every sum fits the lane."""
+    th, lane = _TILE_ROWS, av.dtype
+    rows = min(len(av), limit + 1)
     tw = min(_TILE_COLS, limit + 1)
-    av = _lane_array(a, lo_a, lane)
-    bp = _lane_array(b, lo_b, lane, th - 1)
+    # b between th - 1 sentinels (the lane's minimum) on each side: a
+    # sentinel plus any value stays negative and cannot wrap.
+    sentinel = np.iinfo(lane).min
+    bp = np.full(len(bv) + 2 * (th - 1), sentinel, dtype=lane)
+    bp[th - 1 : th - 1 + len(bv)] = bv
     # wins[r, j] = bp[j + th - 1 - r], so row r of the tile at i0 reads
     # b[k - i0 - r] in output column k = i0 + j: the sum for a[i0 + r].
-    step = bp.itemsize
-    wins = np.ndarray(
-        (th, len(bp) - th + 1), lane, buffer=bp, offset=(th - 1) * step, strides=(-step, step)
-    )
-    out = np.full(limit + 1, _LANE_RANGE[lane][0], dtype=lane)
+    wins = np.lib.stride_tricks.sliding_window_view(bp, th)[:, ::-1].T
+    out = np.full(limit + 1, sentinel, dtype=lane)
     tile = np.empty((min(th, rows), tw), dtype=lane)
     best = np.empty(tw, dtype=lane)
     # Column tile m of every block reads b from bp[m*tw : (m+1)*tw + th - 1],
     # so none of its sums exceeds its block's max plus that window's max.
     # Every output is a real sum or the sentinel, so a tile whose bound is at
     # most the least output it folds into cannot change one: it is skipped.
-    offs = np.arange(0, min(len(b) + th - 1, limit + 1), tw)
+    offs = np.arange(0, min(len(bv) + th - 1, limit + 1), tw)
     bmax = [int(bp[s : s + tw + th - 1].max()) for s in offs.tolist()]
     amax = np.maximum.reduceat(av[:rows], np.arange(0, rows, th))
     # Larger maxima first raise the outputs early.  Among equal maxima (a
@@ -220,7 +206,7 @@ def _tiled_maxconv(a: list, lo_a: int, b: list, lo_b: int, limit: int, lane) -> 
         i0 = blk * th
         h = min(th, rows - i0)
         col = av[i0 : i0 + h, None]
-        top = min(limit, i0 + h + len(b) - 2)
+        top = min(limit, i0 + h + len(bv) - 2)
         ua = int(amax[blk])
         lows = np.minimum.reduceat(out[i0 : top + 1], offs[: (top - i0) // tw + 1])
         for k0, ub, low in zip(range(i0, top + 1, tw), bmax, lows.tolist()):

@@ -18,7 +18,7 @@ from .core import (
     SequenceLike,
     _equal_lists,
     as_values,
-    maxconv_values,
+    resolve_kernel,
 )
 from .oracles import KnapsackInstance, NecklaceInstance, WeightedTree
 
@@ -231,6 +231,11 @@ def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
     frames deep.  A path of n nodes makes 2(n - 1) kernel calls.
     """
     kids = tree.children()
+    kernel = resolve_kernel()
+
+    def merge(x: list[int], y: list[int]) -> list[int]:
+        return kernel(x, y, len(x) + len(y) - 2)
+
     sizes = [1] * tree.n
     for v in reversed(tree.preorder(kids)):
         for c in kids[v]:
@@ -247,7 +252,7 @@ def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
             acc = [0]
             for c in kids[v]:
                 if c != below:
-                    acc = maxconv_values(acc, spine_vector(c))
+                    acc = merge(acc, spine_vector(c))
             u_at.append(acc)
             weights.append(tree.weight[v])
             v = below
@@ -262,7 +267,7 @@ def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
             c = (a + b) // 2
             u_left, y_left = solve(a, c)
             u_right, y_right = solve(c + 1, b)
-            u = maxconv_values(u_left, u_right)
+            u = merge(u_left, u_right)
             # Subtrees that stop above spine[c + 1] are y_left, over sizes
             # 0..len(y_left) - 1.  Those that take all of spine[a..c] and
             # go on are ``through``, over sizes taken..taken + len(through) - 1.
@@ -270,7 +275,7 @@ def tree_sparsity_via_maxconv(tree: WeightedTree) -> list[int]:
             # y_left's head, then the overlap's maxima, then through's tail.
             spine_sum = sum(weights[a : c + 1])
             taken = c - a + 1
-            through = [spine_sum + v for v in maxconv_values(u_left, y_right)]
+            through = [spine_sum + v for v in merge(u_left, y_right)]
             cut = len(y_left) - taken
             assert 0 <= cut <= len(through)
             y = y_left[:taken] + list(map(max, y_left[taken:], through[:cut])) + through[cut:]

@@ -731,6 +731,41 @@ def test_every_route_is_exact_past_the_word_seed7001():
                         assert got == (True, False), (problem, name, values, payload)
 
 
+def test_knapsack_methods_on_zero_weight_and_heavy_items_seed7003():
+    # gen draws every weight from 1..max(1, t), so it builds no zero-weight
+    # item and none heavier than t.  About 30% of these items weigh 0 (value
+    # 0 on uknapsack, which refuses a zero-weight item of positive value)
+    # and at least 20% are heavier than t (at t = 0, all the others).
+    rng = random.Random(7003)
+    for problem in ("knapsack01", "uknapsack"):
+        methods = METHODS[problem]
+        reference = methods[cli.REFERENCE[problem]]
+        for _ in range(300):
+            t = rng.choice([0, 1, 2, 3, 5, 9, 20])
+            items = []
+            for _ in range(rng.randint(0, 7)):
+                kind = rng.random()
+                if kind < 0.3:
+                    w = 0
+                elif kind < 0.5 or t == 0:
+                    w = rng.randint(t + 1, t + 10)
+                else:
+                    w = rng.randint(1, t)
+                v = 0 if w == 0 and problem == "uknapsack" else rng.randint(0, 50)
+                items.append([w, v])
+            payload = {"items": items, "capacity": t}
+            objs = payload_objects(problem, payload)
+            for seed in range(3):
+                run_opts = {"delta": 0.05, "seed": seed}
+                ref = reference(objs, run_opts)
+                for name, solve in methods.items():
+                    got = cli._compare(problem, name, solve(objs, run_opts), ref)
+                    if (problem, name) in cli.RANDOMIZED:
+                        assert got[1] is False, (problem, name, seed, payload)
+                    else:
+                        assert got == (True, False), (problem, name, seed, payload)
+
+
 def test_methods_take_payload_objects_as_built_seed7002(monkeypatch):
     # Building the objects is the payload's one check: no method but
     # maxconv/via-upperbound (whose detect_single re-checks its windows)

@@ -166,9 +166,9 @@ def lanes(monkeypatch):
     seen = []
     tiled = core._tiled_maxconv
 
-    def record(*args):
-        seen.append(args[-1])
-        return tiled(*args)
+    def record(av, bv, limit):
+        seen.append(av.dtype.type)
+        return tiled(av, bv, limit)
 
     monkeypatch.setattr(core, "_tiled_maxconv", record)
     return seen
@@ -241,9 +241,10 @@ def _tiles_run(monkeypatch, a: list, b: list, lane, limit: int | None = None) ->
     if len(a) > len(b):
         a, b = b, a
     hi = len(a) + len(b) - 2 if limit is None else limit
+    av, bv = (np.array(x, dtype=np.int64) - min(x) for x in (a, b))
     counting = _CountingNumpy()
     monkeypatch.setattr(core, "np", counting)
-    out = core._tiled_maxconv(a, min(a), b, min(b), hi, lane)
+    out = core._tiled_maxconv(av.astype(lane), bv.astype(lane), hi)
     assert [v + min(a) + min(b) for v in out.tolist()] == want
     return counting.adds, _tile_count(len(a), len(b), hi)
 

@@ -332,6 +332,26 @@ def test_tree_sparsity_via_maxconv_kernel_calls(monkeypatch):
             assert len(calls) == n, n
 
 
+def test_tree_sparsity_via_maxconv_checks_nothing_it_built_seed3012(monkeypatch):
+    # Every operand of a merge is a vector the route built itself, so the
+    # route calls the kernel on it directly and no integer check runs.
+    rng = random.Random(3012)
+    trees = []
+    for n in (1, 2, 7, 200, 768):
+        parent, weight = rand_tree(rng, n, 25)
+        trees.append(WeightedTree(tuple(parent), tuple(weight)))
+    trees.append(WeightedTree(tuple(i - 1 for i in range(50)), tuple(range(50))))
+    trees.append(WeightedTree((-1,) + (0,) * 49, tuple(range(50))))
+    checks = []
+    int_values = core._int_values
+    monkeypatch.setattr(core, "_int_values", lambda v: checks.append(1) or int_values(v))
+    for tree in trees:
+        want = tree_sparsity_dp(tree)
+        checks.clear()
+        assert tree_sparsity_via_maxconv(tree) == want, tree.n
+        assert checks == [], (tree.n, len(checks))
+
+
 # ---------------------------------------------------------------------------
 # lower bound -> circular alignment
 
