@@ -63,8 +63,7 @@ from .serialize import (
 
 
 def _decision(d) -> dict:
-    witness = d.witness
-    return {"decision": bool(d), "witness": list(witness) if isinstance(witness, tuple) else witness}
+    return {"decision": bool(d), "witness": d.witness}
 
 
 def _verdict(holds) -> dict:

@@ -134,9 +134,7 @@ def detect_violations(
     w = max(1, max(max(abs(v) for v in vals) for vals in (av, bv, cv)))
     mask = 2 * n * w + 1
     pad = -mask
-    m = math.isqrt(n)
-    if m * m < n:
-        m += 1
+    m = math.isqrt(n - 1) + 1
     s = -(-n // m)
     blocks = -(-n // s)
     cw = list(cv)

@@ -107,16 +107,11 @@ class ValueProfile:
 
 def knapsack01_dp(inst: KnapsackInstance) -> ValueProfile:
     """Exact optimum for every capacity <= t, each item taken at most once;
-    classic O(n*t) table."""
+    classic O(n*t) table.  A zero-weight item runs the same loop over every
+    capacity, so a positive value is added at each."""
     t = inst.capacity
     best = [0] * (t + 1)
     for w, v in inst.items:
-        if w == 0:
-            # Free value: taking it never hurts.
-            if v:
-                for cap in range(t + 1):
-                    best[cap] += v
-            continue
         for cap in range(t, w - 1, -1):
             cand = best[cap - w] + v
             if cand > best[cap]:
@@ -292,29 +287,16 @@ class NecklaceInstance:
 def necklace_linf_brute(inst: NecklaceInstance) -> int:
     """Doubled best-alignment spread over all non-crossing matchings.
 
-    For offset k the matching pairs x[i] with y[(k+i) mod N]; the forward
-    distance adds the circle length exactly when the index wraps (k+i >= N),
-    which keeps the displacements of one matching on a common unrolling.
-    The alignment cost of the instance equals the returned value / 2; it is
+    y is unrolled once, each bead repeated one circle length further on;
+    offset k then matches x[i] with the unrolled y[k+i], so the
+    displacements of one matching sit on a common unrolling.  The
+    alignment cost of the instance equals the returned value / 2; it is
     kept doubled so the result is always an integer.
     """
     x, y, L = inst.x, inst.y, inst.circle_length
-    n = len(x)
-    best = None
-    for k in range(n):
-        hi = lo = None
-        for i in range(n):
-            j = k + i
-            d = (y[j - n] - x[i] + L) if j >= n else (y[j] - x[i])
-            if hi is None or d > hi:
-                hi = d
-            if lo is None or d < lo:
-                lo = d
-        spread = hi - lo
-        if best is None or spread < best:
-            best = spread
-    assert best is not None
-    return best
+    yy = y + tuple(q + L for q in y)
+    offsets = ([q - p for p, q in zip(x, yy[k:])] for k in range(len(x)))
+    return min(max(d) - min(d) for d in offsets)
 
 
 def three_sum_conv_brute(

@@ -7,6 +7,7 @@ independently derived answers.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 
@@ -117,6 +118,22 @@ def enum_tree_sparsity(parent, weight, k) -> int:
         if best is None or total > best:
             best = total
     return 0 if k == 0 else best
+
+
+def enum_necklace(x, y, L) -> int:
+    """Doubled l-infinity alignment cost: the least spread max d - min d over
+    every bijection sigma and every winding w_i in {-1, 0, 1}, where
+    d_i = y[sigma(i)] - x[i] + L * w_i (n must stay small)."""
+    n = len(x)
+    best = None
+    for perm in itertools.permutations(y):
+        base = [q - p for p, q in zip(x, perm)]
+        for wind in itertools.product((-L, 0, L), repeat=n):
+            d = [b + s for b, s in zip(base, wind)]
+            spread = max(d) - min(d)
+            if best is None or spread < best:
+                best = spread
+    return best
 
 
 # ---------------------------------------------------------------------------

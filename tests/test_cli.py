@@ -405,6 +405,43 @@ def test_solve_superadd_routes(tmp_path):
     assert len(decisions) == 1
 
 
+def _first_violated_pair(a, b, c):
+    for k in range(len(a)):
+        for i in range(k + 1):
+            if a[i] + b[k - i] > c[k]:
+                return [i, k - i]
+    return None
+
+
+def _first_uncovered_index(a, b, c):
+    for k in range(len(a)):
+        if all(a[i] + b[k - i] < c[k] for i in range(k + 1)):
+            return k
+    return None
+
+
+def test_solve_reports_the_first_violating_witness_seed7004(tmp_path):
+    # The witness of a NO answer: the violating pair with the smallest i + j,
+    # then the smallest i, or the smallest index k no sum reaches.
+    rng = random.Random(7004)
+    path = tmp_path / "inst.json"
+    for problem in ("upperbound", "lowerbound", "superadd"):
+        nos = 0
+        for _ in range(200):
+            payload = gen_payload(problem, rng, {"n": rng.randint(1, 12), "values": 20})
+            path.write_text(dump_instance(problem, payload))
+            code, out = run_cli(["solve", "--input", str(path), "--method", "direct"])
+            assert code == 0
+            answer = json.loads(out)["answer"]
+            a = payload["a"]
+            b, c = (a, a) if problem == "superadd" else (payload["b"], payload["c"])
+            scan = _first_uncovered_index if problem == "lowerbound" else _first_violated_pair
+            want = scan(a, b, c)
+            assert answer == {"decision": want is None, "witness": want}
+            nos += want is not None
+        assert nos >= 50
+
+
 def test_solve_rand_reports_agreement(tmp_path):
     path = tmp_path / "k.json"
     run_cli(["gen", "--problem", "knapsack01", "--n", "6", "--t", "12",

@@ -25,6 +25,7 @@ from maxconv.serialize import InstanceFormatError, payload_objects
 from helpers import (
     brute_mcsp,
     enum_knapsack01,
+    enum_necklace,
     enum_tree_sparsity,
     enum_unbounded,
     rand_items,
@@ -175,6 +176,17 @@ def test_necklace_invariances_seed2006():
         assert necklace_linf_brute(rotated) == base
         swapped = NecklaceInstance(y, x, circle)
         assert necklace_linf_brute(swapped) == base
+
+
+def test_necklace_against_matching_enumeration_seed2009():
+    rng = random.Random(2009)
+    for n in [rng.randint(1, 4) for _ in range(300)] + [5] * 20:
+        circle = rng.randint(1, 40)
+        x, y = (
+            tuple(sorted(rng.choice((0, circle, rng.randint(0, circle))) for _ in range(n)))
+            for _ in range(2)
+        )
+        assert necklace_linf_brute(NecklaceInstance(x, y, circle)) == enum_necklace(x, y, circle)
 
 
 def test_three_sum_conv_examples():
