@@ -5,9 +5,10 @@ Items are split into weight layers so that layer i can contribute at most
 spreads any small solution across parts with constant probability, a few
 repetitions boost that to 1 - delta, and part profiles (choose at most one
 item) are folded together.  Every operand of every join here is a
-non-decreasing profile, so each join is one fold (``_fold``): the maximum
-of a few shifted copies of one profile, one per jump of the other, O(t)
-numpy work per jump instead of a quadratic kernel call.  A part join folds
+non-decreasing profile, so each join is one fold (``core._fold``, which
+the default kernel also runs on its monotone operands): the maximum of a
+few shifted copies of one profile, one per jump of the other, O(t) numpy
+work per jump instead of a quadratic kernel call.  A part join folds
 the part profile's jumps into the trial's profile; the layer merges and
 the final accumulation (``_merge``) fold the jumps of whichever profile has
 fewer.  No join calls a convolution kernel.  Trial profiles are int64
@@ -31,7 +32,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import WORD_MAX
+from .core import WORD_MAX, _fold
 from .oracles import KnapsackInstance, ValueProfile, _check_int, _check_items
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -70,35 +71,6 @@ def _part_steps(part: list[tuple[int, int]], limit: int) -> list[tuple[int, int]
             steps.append((w, v))
             run = v
     return steps
-
-
-def _fold(x: np.ndarray, steps: list[tuple[int, int]], limit: int) -> np.ndarray:
-    """(max,+) join of a non-decreasing profile x with a step profile,
-    truncated at ``limit``, in x's dtype (see _profile_dtype).
-
-    ``steps`` are the step profile's jumps (w, value) in increasing w, the
-    first at w = 0 and none past ``limit``.  Inside the stretch [w, e) of
-    one jump, every split of an output k adds the same value and x is
-    non-decreasing, so the best split takes the largest index of x there:
-    the join is the maximum over the jumps of x shifted right by w plus the
-    value.  Past its end x is read as its last entry.  That is exact for
-    ``limit <= len(x) + len(other) - 2``, where other is the step profile's
-    length: where the split that x[-1] stands for leaves [w, e), x[-1] plus
-    the other profile's entry at that split is a real sum at least as large.
-    """
-    (_, head), *rest = steps
-    if len(x) <= limit:
-        x = np.concatenate((x, np.full(limit + 1 - len(x), x[-1], dtype=x.dtype)))
-    out = x[: limit + 1].copy()
-    # Part joins start at (0, 0), so head is nearly always 0, and the copy
-    # beats `x[: limit + 1] + head` by about 0.45 us a fold.
-    if head:
-        out += head
-    buf = np.empty_like(out)
-    for w, v in rest:
-        shifted = np.add(x[: limit + 1 - w], v, out=buf[: limit + 1 - w])
-        np.maximum(out[w:], shifted, out=out[w:])
-    return out
 
 
 def _join_part(cur: np.ndarray, part: list[tuple[int, int]]) -> np.ndarray:

@@ -35,6 +35,11 @@ _VECTOR_CUTOFF = 2048
 _TILE_ROWS = 16
 _TILE_COLS = 4096
 
+# The numpy kernel folds on at most one run per _ROWS_PER_RUN rows of the
+# shorter operand up to the limit: at n = 16384 a fold takes about 6.5 us
+# a run, the tiles 21-76 ms on a profile against 16 to 4096 runs.
+_ROWS_PER_RUN = 16
+
 
 def _int_values(values: Iterable) -> Union[list, tuple]:
     """The one integer-sequence check, behind Sequence and as_values.
@@ -131,26 +136,28 @@ def _maxconv_plain(a: list, b: list, limit: int) -> list:
 
 
 def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
-    """The same quadratic enumeration, vectorised a tile of rows at a time.
+    """The same quadratic enumeration, by one of three paths.
 
-    Calls of at most ``_VECTOR_CUTOFF`` cells run the plain loop.  Operands
+    Plain loop: calls of at most ``_VECTOR_CUTOFF`` cells, and operands
     whose span, values or extreme sums (``min a + min b``,
-    ``max a + max b``) leave the 64-bit word take the plain loop too, which
-    is exact on Python ints, so no sum ever wraps.  Every other call runs
-    the tiles.
+    ``max a + max b``) leave the 64-bit word; it is exact on Python ints.
+    Every other call shifts both operands by their minimum, into int32
+    when the shifted span ``(max a - min a) + (max b - min b)`` fits, else
+    int64, so no sum wraps, and shifts the output back once at the end.
 
-    Tiles: both operands are shifted by their minimum, so every sum is
-    non-negative and at most the shifted span
-    ``(max a - min a) + (max b - min b)``; the sums are taken in int32 when
-    that span fits, else in int64, and shifted back once at the end.  Each
-    step adds ``_TILE_ROWS`` values of the shorter operand to reversed
+    Fold: if one operand x is non-decreasing on ``x[0..limit]`` and
+    ``limit < len(x)``, a row of the other operand y loses to any earlier
+    row at least as large (``x[k - i]`` only grows as i falls), so
+    ``c[k]`` is the max of ``v + x[k - s]`` over the runs (s, v) of y's
+    running maximum with s <= k (``_fold``).  It runs, in either
+    orientation, on at most one run per ``_ROWS_PER_RUN`` rows.
+
+    Tiles: ``_TILE_ROWS`` values of the shorter operand plus reversed
     sliding windows of the longer one, ``_TILE_COLS`` output columns at a
-    time, and folds the tile's column maxima into the output.  A tile
-    whose largest possible sum (its rows' max plus the max of the b window
-    it reads) is at most every output it folds into is skipped: no sum in
-    it can raise an output, so the answer stays exact.  Row tiles run in
-    decreasing order of their max, ties in row order, so the outputs rise
-    early.
+    time.  A tile whose largest possible sum (its rows' max plus the max
+    of the b window it reads) is at most every output it folds into
+    cannot raise one, so it is skipped.  Row tiles run in decreasing
+    order of their max, ties in row order, so the outputs rise early.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -168,7 +175,18 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
     av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     av -= lo_a
     bv -= lo_b
-    out = _tiled_maxconv(av.astype(lane, copy=False), bv.astype(lane, copy=False), limit)
+    av, bv = av.astype(lane, copy=False), bv.astype(lane, copy=False)
+    rows = min(len(a), limit + 1)
+    for x, y in ((av, bv), (bv, av)):
+        if limit < len(x) and (x[1 : limit + 1] >= x[:limit]).all():
+            top = np.maximum.accumulate(y[: limit + 1])
+            at = np.flatnonzero(top[1:] != top[:-1]) + 1
+            if len(at) < rows // _ROWS_PER_RUN:  # len(at) + 1 runs
+                at = [0, *at.tolist()]
+                out = _fold(x, list(zip(at, top[at].tolist())), limit)
+                break
+    else:
+        out = _tiled_maxconv(av, bv, limit)
     out = out.astype(np.int64, copy=False)
     out += lo_a + lo_b
     return out.tolist()
@@ -220,6 +238,36 @@ def _tiled_maxconv(av: np.ndarray, bv: np.ndarray, limit: int) -> np.ndarray:
     return out
 
 
+def _fold(x: np.ndarray, steps: list[tuple[int, int]], limit: int) -> np.ndarray:
+    """(max,+) join of a non-decreasing x with a step profile, truncated at
+    ``limit``, in x's dtype: the kernel's fold on lane arrays, and every
+    join in ``colorcoding`` on its profiles.
+
+    ``steps`` are the step profile's jumps (w, value) in increasing w, the
+    first at w = 0 and none past ``limit``.  Inside the stretch [w, e) of
+    one jump, every split of an output k adds the same value and x is
+    non-decreasing, so the best split takes the largest index of x there:
+    the join is the maximum over the jumps of x shifted right by w plus the
+    value.  Past its end x is read as its last entry.  That is exact for
+    ``limit <= len(x) + len(other) - 2``, where other is the step profile's
+    length: where the split that x[-1] stands for leaves [w, e), x[-1] plus
+    the other profile's entry at that split is a real sum at least as large.
+    """
+    (_, head), *rest = steps
+    if len(x) <= limit:
+        x = np.concatenate((x, np.full(limit + 1 - len(x), x[-1], dtype=x.dtype)))
+    out = x[: limit + 1].copy()
+    # Part joins start at (0, 0), so head is nearly always 0, and the copy
+    # beats `x[: limit + 1] + head` by about 0.45 us a fold.
+    if head:
+        out += head
+    buf = np.empty_like(out)
+    for w, v in rest:
+        shifted = np.add(x[: limit + 1 - w], v, out=buf[: limit + 1 - w])
+        np.maximum(out[w:], shifted, out=out[w:])
+    return out
+
+
 KERNELS: dict[str, Kernel] = {
     "naive": maxconv_numpy_kernel,
     "python": _maxconv_plain,
@@ -243,9 +291,14 @@ def maxconv_values(
     """(max,+)-convolution of raw integer lists, truncated at index ``limit``.
 
     Operands get ``as_values``' check and may have any magnitude: both
-    kernels are exact on every integer input.
+    kernels are exact on every integer input.  ``limit`` follows the same
+    rule: numpy integers pass as ints, bools and non-integers raise.
     """
     a, b = as_values(a), as_values(b)
+    if limit is not None:
+        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
+            raise TypeError(f"limit must be an integer, got {limit!r}")
+        limit = int(limit)
     full = len(a) + len(b) - 2
     hi = full if limit is None else min(limit, full)
     if hi < 0:

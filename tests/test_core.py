@@ -390,6 +390,112 @@ def test_run_path_reads_only_the_entries_up_to_the_limit():
     assert maxconv_values(a, b, 89) == brute_maxconv(a, b, 89)
 
 
+@pytest.fixture
+def paths(monkeypatch):
+    """(path, lane) of every fold and every tiled call; the plain loop
+    records nothing."""
+    seen = []
+    for name, path in (("_fold", "fold"), ("_tiled_maxconv", "tiles")):
+
+        def record(x, y, limit, run=getattr(core, name), path=path):
+            seen.append((path, x.dtype.type))
+            return run(x, y, limit)
+
+        monkeypatch.setattr(core, name, record)
+    return seen
+
+
+def _records(rng: random.Random, n: int, runs: int, lo: int, hi: int, tie: float = 0.0) -> list:
+    """n values whose running maximum has exactly ``runs`` runs, their heads
+    rising from lo to at most hi; each other row draws from [lo, head] of
+    its run, and equals the head with probability ``tie``."""
+    starts = [0] + sorted(rng.sample(range(1, n), runs - 1))
+    heads = sorted(rng.sample(range(lo, hi + 1), runs))
+    out = []
+    for s, e, h in zip(starts, starts[1:] + [n], heads):
+        out += [h] + [h if rng.random() < tie else rng.randint(lo, h) for _ in range(e - s - 1)]
+    return out
+
+
+def _fold_cases():
+    """name -> (x, y, limit, path, edge): x non-decreasing on x[0..limit]
+    unless named otherwise, y the other operand, and the path the kernel
+    takes on them in either argument order.  ``edge`` moves both operands
+    to the top or bottom of the word after the lane scaling."""
+    rng = random.Random(1016)
+    rule = 160 // core._ROWS_PER_RUN  # runs allowed at rows = 160
+    x = _profile(rng, 160, 9)
+    y = _records(rng, 200, 3, -400, 400)
+    # A descent right after x[150], and one at x[150] with y[0] the maximum
+    # of y: there y[1] + x[149] beats y[0] + x[150], the one sum a fold
+    # over the descent would take at output 150.
+    past, at = _profile(rng, 200, 9), _profile(rng, 200, 9)
+    past[151:] = [-(10**4)] * 49
+    at[150] = -(10**4)
+    flat = _records(rng, 200, 1, -400, 400)
+    # rule runs in y[0..159] with a new maximum at row 160, and rule + 1.
+    met = _records(rng, 160, rule, 0, 400) + [401] + _records(rng, 39, 3, 0, 500)
+    missed = _records(rng, 160, rule + 1, 0, 400) + _records(rng, 40, 3, 0, 500)
+    wide = _profile(rng, 200, 9)
+    return {
+        "limit len(x) - 1": (x, y, 159, "fold", None),
+        "limit len(x)": (x, y, 160, "tiles", None),
+        "descent past the limit": (past, y, 150, "fold", None),
+        "descent at the limit": (at, flat, 150, "tiles", None),
+        "tied running maxima": (wide, _records(rng, 200, 4, -50, 50, tie=0.7), 199, "fold", None),
+        "running maximum constant from row 0": (wide, flat, 199, "fold", None),
+        "negative": (
+            [v - 10**6 for v in wide], _records(rng, 200, 5, -900, -10), 199, "fold", None
+        ),
+        "word edge, top": (wide, _records(rng, 200, 5, 0, 900), 199, "fold", "top"),
+        "word edge, bottom": (wide, _records(rng, 200, 5, 0, 900), 199, "fold", "bottom"),
+        "run rule met": (wide, met, 159, "fold", None),
+        "run rule missed by one": (wide, missed, 159, "tiles", None),
+    }
+
+
+FOLD_CASES = _fold_cases()
+
+
+def _at_edge(xs: list, ys: list, edge) -> tuple[list, list]:
+    """xs and ys moved so that max xs + max ys is 2^63 - 1 (top) or
+    min xs + min ys is -2^63 (bottom); spans are kept."""
+    if edge == "top":
+        return [v - max(xs) + 2**62 for v in xs], [v - max(ys) + 2**62 - 1 for v in ys]
+    if edge == "bottom":
+        return [v - min(xs) - 2**62 for v in xs], [v - min(ys) - 2**62 for v in ys]
+    return xs, ys
+
+
+@LANES
+@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+def test_fold_matches_brute_force(name, lane, paths):
+    x, y, limit, path, edge = FOLD_CASES[name]
+    x, y = _at_edge(_in_lane(x, lane), _in_lane(y, lane), edge)
+    want = brute_maxconv(x, y, limit)
+    assert maxconv_values(x, y, limit) == want
+    assert maxconv_values(y, x, limit) == want
+    assert paths == [(path, lane)] * 2
+
+
+def test_fold_takes_only_a_monotone_operand_against_few_runs_seed1017(paths):
+    rng = random.Random(1017)
+    n = 200
+    uni, uni2 = rand_seq(rng, n, 1000), rand_seq(rng, n, 1000)
+    prof, prof2 = _profile(rng, n, 20), _profile(rng, n, 20)
+    for a, b, limit, path in (
+        (uni, prof, n - 1, "fold"),
+        (prof, uni, n - 1, "fold"),
+        (uni, uni2, n - 1, "tiles"),
+        (prof, prof2, n - 1, "tiles"),
+        (uni, prof, None, "tiles"),
+        (prof, uni, None, "tiles"),
+    ):
+        paths.clear()
+        assert maxconv_values(a, b, limit) == brute_maxconv(a, b, limit)
+        assert paths == [(path, np.int32)], (a is uni, b is uni, limit)
+
+
 def test_conv_output_is_not_held_to_the_input_headroom_rule():
     # Outputs hold twice the largest |v| the retired rule took at n = 2.
     w = WORD_MAX // 800
@@ -640,6 +746,23 @@ def test_maxconv_values_rejects_non_integers(kernel, bad):
         maxconv_values(bad, bad, kernel=kernel)
     with pytest.raises(TypeError, match="sequence values must be integers"):
         maxconv_values([1] * len(bad), bad, kernel=kernel)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_limit_is_checked_where_it_enters(kernel):
+    # The rule of sequence values: numpy integers pass as ints, bools and
+    # non-integers raise TypeError naming limit, here and past the cutoff.
+    small, large = [1, 2, 3], list(range(200))
+    for a, b in ((small, [4, 5, 6]), (large, large[::-1])):
+        for bad in (True, False, np.bool_(True), 1.0, 151.0, np.float64(2), "3"):
+            for run in (maxconv_values, max_conv, min_conv):
+                with pytest.raises(TypeError, match="limit must be an integer"):
+                    run(a, b, bad, kernel)
+        for good in (np.int64(1), np.int32(151), np.uint8(2)):
+            assert maxconv_values(a, b, good, kernel) == brute_maxconv(a, b, int(good))
+        for neg in (-1, np.int64(-3)):
+            with pytest.raises(ValueError, match="limit must be non-negative"):
+                maxconv_values(a, b, neg, kernel)
 
 
 def test_maxconv_values_converts_numpy_integers():
