@@ -14,6 +14,7 @@ output sequence and the self-dominance (superadditivity) test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import gt
 from typing import Callable, Iterable, Union
 
@@ -31,7 +32,11 @@ _VECTOR_CUTOFF = 2048
 # rows hold at most a third of its 8192-element buffer (2730 columns), at
 # several times the cost per cell.  A tile is skipped when its rows' max
 # plus its b window's max is at most every output it folds into: no sum in
-# it can raise one, so the skip is exact.
+# it can raise one, so the skip is exact.  Every tile's bound is first
+# taken at once against chunk minima of _TILE_ROWS outputs, a sliding
+# minimum of about _TILE_COLS // _TILE_ROWS chunks wide: outputs only rise,
+# so a tile that bound skips stays skippable, and a block with no live
+# tile is not visited.
 _TILE_ROWS = 16
 _TILE_COLS = 4096
 
@@ -39,6 +44,13 @@ _TILE_COLS = 4096
 # shorter operand up to the limit: at n = 16384 a fold takes about 6.5 us
 # a run, the tiles 21-76 ms on a profile against 16 to 4096 runs.
 _ROWS_PER_RUN = 16
+
+# The tiled kernel first runs the rows // _PASS_SHARE largest rows of the
+# shorter operand as contiguous single-row passes when they spread over
+# more than twice the blocks they would fill, then lowers them to 0.  On
+# uniform rows at n = 16384 that leaves 51-65 of 2,560 tiles live; on a
+# profile's last rows, in a few blocks, the passes would only add work.
+_PASS_SHARE = 16
 
 
 def _int_values(values: Iterable) -> Union[list, tuple]:
@@ -158,6 +170,16 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
     of the b window it reads) is at most every output it folds into
     cannot raise one, so it is skipped.  Row tiles run in decreasing
     order of their max, ties in row order, so the outputs rise early.
+    When the largest sixteenth of the shorter operand's rows (the top
+    ``rows // _PASS_SHARE``) spreads over more than twice the blocks it
+    would fill, each of those rows first runs as one contiguous pass over
+    b, every sum it has up to the limit, and is then lowered to 0, the
+    least shifted value: its sums in the tiles are then at most the real
+    ones, already in the outputs, so they change nothing, and the tile
+    bounds see only the rows left.  Every tile's bound is then checked
+    against the outputs in one numpy pass (chunk minima and a sliding
+    minimum), and only blocks with a live tile are visited; outputs only
+    rise, so a tile skipped on older outputs is skipped exactly.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -176,14 +198,12 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
     av -= lo_a
     bv -= lo_b
     av, bv = av.astype(lane, copy=False), bv.astype(lane, copy=False)
-    rows = min(len(a), limit + 1)
+    cap = min(len(a), limit + 1) // _ROWS_PER_RUN
     for x, y in ((av, bv), (bv, av)):
         if limit < len(x) and (x[1 : limit + 1] >= x[:limit]).all():
-            top = np.maximum.accumulate(y[: limit + 1])
-            at = np.flatnonzero(top[1:] != top[:-1]) + 1
-            if len(at) < rows // _ROWS_PER_RUN:  # len(at) + 1 runs
-                at = [0, *at.tolist()]
-                out = _fold(x, list(zip(at, top[at].tolist())), limit)
+            steps = _run_heads(y, limit, cap)
+            if steps is not None:
+                out = _fold(x, steps, limit)
                 break
     else:
         out = _tiled_maxconv(av, bv, limit)
@@ -192,12 +212,28 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
     return out.tolist()
 
 
+def _run_heads(y: np.ndarray, limit: int, cap: int) -> list | None:
+    """(start, value) of each run of the running maximum of y[0..limit], or
+    None when it has more than ``cap`` runs.  A prefix's running maximum is
+    the whole one's prefix, so ``cap`` rises in y[0..4 * cap - 1] (a
+    quarter of the limit at most) refuse y there: a profile, which rises on
+    about every other row, is refused without reading the rest."""
+    for p in (4 * cap, limit + 1):
+        top = np.maximum.accumulate(y[:p])
+        rises = top[1:] != top[:-1]
+        if np.count_nonzero(rises) >= cap:
+            return None
+    at = [0, *(np.flatnonzero(rises) + 1).tolist()]
+    return list(zip(at, top[at].tolist()))
+
+
 def _tiled_maxconv(av: np.ndarray, bv: np.ndarray, limit: int) -> np.ndarray:
     """(max,+)-convolution of the non-negative arrays ``av`` (the shorter)
     and ``bv`` of one lane dtype, up to ``limit``, in that dtype; the caller
     has checked that every sum fits the lane."""
     th, lane = _TILE_ROWS, av.dtype
     rows = min(len(av), limit + 1)
+    av = av[:rows]
     tw = min(_TILE_COLS, limit + 1)
     # b between th - 1 sentinels (the lane's minimum) on each side: a
     # sentinel plus any value stays negative and cannot wrap.
@@ -208,23 +244,64 @@ def _tiled_maxconv(av: np.ndarray, bv: np.ndarray, limit: int) -> np.ndarray:
     # b[k - i0 - r] in output column k = i0 + j: the sum for a[i0 + r].
     wins = np.lib.stride_tricks.sliding_window_view(bp, th)[:, ::-1].T
     out = np.full(limit + 1, sentinel, dtype=lane)
-    tile = np.empty((min(th, rows), tw), dtype=lane)
+    starts = np.arange(0, rows, th)
+    # The rows // _PASS_SHARE largest rows (of tied rows at the cut, the
+    # last) run first as single rows when they spread over more than twice
+    # the blocks they would fill; rows that sit in a few blocks are left to
+    # those blocks.  The ascending sort reads a profile as one run.
+    picked = np.argsort(av, kind="stable")[rows - rows // _PASS_SHARE :]
+    hit = np.zeros(len(starts), dtype=bool)
+    hit[picked // th] = True
+    passes = np.count_nonzero(hit) > 2 * -(-len(picked) // th)
+    # One buffer holds a tile or a row pass.
+    h0 = min(th, rows)
+    buf = np.empty(max(h0 * tw, min(limit + 1, len(bv))), dtype=lane)
+    tile = buf[: h0 * tw].reshape(h0, tw)
     best = np.empty(tw, dtype=lane)
+    if passes:
+        # Row i adds b[0..e - i - 1] to out[i..e - 1], every sum it has up
+        # to the limit.  Lowered to 0 (no shifted value is smaller) its
+        # sums in the tiles are at most those: only the rest are bounded.
+        for i, v in zip(picked.tolist(), av[picked].tolist()):
+            e = min(limit, i + len(bv) - 1) + 1
+            s = np.add(bv[: e - i], v, out=buf[: e - i])
+            np.maximum(out[i:e], s, out=out[i:e])
+        av = av.copy()
+        av[picked] = 0
     # Column tile m of every block reads b from bp[m*tw : (m+1)*tw + th - 1],
     # so none of its sums exceeds its block's max plus that window's max.
     # Every output is a real sum or the sentinel, so a tile whose bound is at
     # most the least output it folds into cannot change one: it is skipped.
     offs = np.arange(0, min(len(bv) + th - 1, limit + 1), tw)
-    bmax = [int(bp[s : s + tw + th - 1].max()) for s in offs.tolist()]
-    amax = np.maximum.reduceat(av[:rows], np.arange(0, rows, th))
+    bmax = np.array([bp[s : s + tw + th - 1].max() for s in offs.tolist()], dtype=lane)
+    amax = np.maximum.reduceat(av, starts)
+    tops = np.minimum(limit, starts + np.minimum(th, rows - starts) + len(bv) - 2)
     # Larger maxima first raise the outputs early.  Among equal maxima (a
     # profile that levels off) the first block's outputs cover the later
     # blocks' in a truncated call, so those can be skipped.
-    for blk in np.argsort(-amax, kind="stable").tolist():
+    order = np.argsort(-amax, kind="stable")
+    if passes:
+        # Every tile's bound against the outputs the passes left, at once:
+        # a tile of tw columns from a multiple of gcd(tw, th) meets at most
+        # q chunks of th columns, so the least of q chunk minima from its
+        # first chunk is at most its least output (chunks past the last
+        # output read the lane's maximum).  Outputs only rise, so a tile
+        # that is dead here stays dead: only blocks with a live tile are
+        # visited.
+        q = (tw + th - gcd(tw, th) - 1) // th + 1
+        cmin = np.minimum.reduceat(out, np.arange(0, limit + 1, th))
+        cmin = np.concatenate((cmin, np.full(q - 1, np.iinfo(lane).max, dtype=lane)))
+        least = np.lib.stride_tricks.sliding_window_view(cmin, q).min(axis=1)
+        first = starts[:, None] + offs
+        least = least[np.minimum(first // th, len(least) - 1)]
+        live = (first <= tops[:, None]) & (amax[:, None] + bmax > least)
+        order = order[live.any(axis=1)[order]]
+    bmax = bmax.tolist()
+    for blk in order.tolist():
         i0 = blk * th
         h = min(th, rows - i0)
         col = av[i0 : i0 + h, None]
-        top = min(limit, i0 + h + len(bv) - 2)
+        top = int(tops[blk])
         ua = int(amax[blk])
         lows = np.minimum.reduceat(out[i0 : top + 1], offs[: (top - i0) // tw + 1])
         for k0, ub, low in zip(range(i0, top + 1, tw), bmax, lows.tolist()):

@@ -211,18 +211,21 @@ def _profile(rng: random.Random, n: int, step: int) -> list:
 
 
 class _CountingNumpy:
-    """numpy, counting np.add calls: the tiled kernel makes one per tile it
-    does not skip."""
+    """numpy, counting np.add calls: the tiled kernel makes one 2-D add per
+    tile it does not skip and one 1-D add per single-row pass."""
 
     def __init__(self):
-        self.adds = 0
+        self.tiles = self.passes = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def add(self, *args, **kwargs):
-        self.adds += 1
-        return np.add(*args, **kwargs)
+    def add(self, x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            self.tiles += 1
+        else:
+            self.passes += 1
+        return np.add(x, *args, **kwargs)
 
 
 def _tile_count(la: int, lb: int, limit: int) -> int:
@@ -233,9 +236,12 @@ def _tile_count(la: int, lb: int, limit: int) -> int:
     return sum((top - i0) // tw + 1 for i0, top in zip(range(0, rows, th), tops))
 
 
-def _tiles_run(monkeypatch, a: list, b: list, lane, limit: int | None = None) -> tuple[int, int]:
-    """(tiles added, tiles visited) by the tiled path on a, b in ``lane``.
-    Its answer and the default kernel's are checked against brute force."""
+def _tiles_run(
+    monkeypatch, a: list, b: list, lane, limit: int | None = None
+) -> tuple[int, int, int]:
+    """(tiles added, tiles visited, single-row passes) by the tiled path on
+    a, b in ``lane``.  Its answer and the default kernel's are checked
+    against brute force."""
     want = brute_maxconv(a, b, limit)
     assert maxconv_values(a, b, limit) == want
     if len(a) > len(b):
@@ -246,7 +252,7 @@ def _tiles_run(monkeypatch, a: list, b: list, lane, limit: int | None = None) ->
     monkeypatch.setattr(core, "np", counting)
     out = core._tiled_maxconv(av.astype(lane), bv.astype(lane), hi)
     assert [v + min(a) + min(b) for v in out.tolist()] == want
-    return counting.adds, _tile_count(len(a), len(b), hi)
+    return counting.tiles, _tile_count(len(a), len(b), hi), counting.passes
 
 
 @LANES
@@ -294,12 +300,15 @@ def test_tile_bounds_that_tie_the_outputs_seed1011(lane, tiles, lanes):
 def test_uniform_by_profile_skips_nearly_every_tile_seed1012(lane, tiles, monkeypatch):
     # b rises slowly next to a's spread: once the blocks with the largest
     # a values have run, every other block's bound is below its outputs.
+    # Those largest values are spread over many blocks, so they run as
+    # single-row passes first, but for one-row tiles, which are single rows.
     rng = random.Random(1012)
     la, lb = max(16 * core._TILE_ROWS, 60), max(2 * core._TILE_COLS + 100, 200)
     a = _in_lane(rand_seq(rng, la, 10**6), lane)
     b = _in_lane(_profile(rng, lb, 2), lane)
-    added, visited = _tiles_run(monkeypatch, a, b, lane)
+    added, visited, passes = _tiles_run(monkeypatch, a, b, lane)
     assert added <= visited // 5, (added, visited)
+    assert passes == (0 if core._TILE_ROWS == 1 else la // core._PASS_SHARE)
 
 
 @LANES
@@ -308,8 +317,9 @@ def test_profile_by_profile_skips_almost_no_tile(lane, tiles, monkeypatch):
     # the least output it folds into unless the tile is one column wide.
     la, lb = max(16 * core._TILE_ROWS, 60), max(2 * core._TILE_COLS + 100, 200)
     a, b = _in_lane(list(range(la)), lane), _in_lane(list(range(lb)), lane)
-    added, visited = _tiles_run(monkeypatch, a, b, lane)
+    added, visited, passes = _tiles_run(monkeypatch, a, b, lane)
     assert added >= visited * 9 // 10, (added, visited)
+    assert passes == 0  # the largest rows are the last ones, in few blocks
 
 
 @LANES
@@ -320,8 +330,99 @@ def test_truncated_profiles_that_level_off_skip_the_later_blocks(lane, tiles, mo
     la = max(16 * core._TILE_ROWS, 60)
     a = _in_lane([min(i, 3) for i in range(la)], lane)
     b = _in_lane([min(2 * j, 9) for j in range(la + 5)], lane)
-    added, visited = _tiles_run(monkeypatch, a, b, lane, la - 1)
+    added, visited, passes = _tiles_run(monkeypatch, a, b, lane, la - 1)
     assert added <= visited // 5, (added, visited)
+    assert passes == 0  # the tied largest rows at the cut are adjacent
+
+
+def _pass_cases(th: int, tw: int) -> dict:
+    """name -> (a, b, limit, gate) for tiles of th rows by tw columns: a is
+    the shorter operand, its la // _PASS_SHARE largest rows are picked, and
+    ``gate`` says whether they spread over more than twice the blocks they
+    would fill when th > 1 (one-row blocks never do)."""
+    rng = random.Random(1018)
+    la = 16 * max(th, 2)
+    lb = max(tw + 3 * th + 40, la + 40)
+    k = la // core._PASS_SHARE
+
+    def placed(a: list, values: list, blocks: int = 0) -> list:
+        """a with ``values`` on rows of ``blocks`` distinct blocks (as many
+        as values when 0), dealt round-robin."""
+        at = rng.sample(range(la // th), blocks or len(values))
+        for t, v in enumerate(values):
+            a[at[t % len(at)] * th + (t // len(at) if blocks else rng.randrange(th))] = v
+        return a
+
+    def background() -> list:
+        return [rng.randint(0, 1000) for _ in range(la)]
+
+    def noise() -> list:
+        return [rng.randint(-1000, 1000) for _ in range(lb)]
+
+    def top_rows() -> list:
+        return rng.sample(range(2000, 3000), k)
+
+    cases = {
+        "spread rows": (placed(background(), top_rows()), noise(), None, True),
+        # Three rows above the rest: the cut falls among the tied 9s.
+        "ties at the cut": (
+            placed([rng.randint(0, 9) for _ in range(la)], [20, 21, 22]), noise(), None, True
+        ),
+        # Every row but three holds the minimum, so the cut picks such rows.
+        "picked rows at the minimum": (placed([0] * la, [500, 600, 700]), noise(), None, True),
+        "monotone rows": (_profile(rng, la, 9), noise(), None, False),
+        # The picked rows fill exactly twice the blocks they need.
+        "rows in few blocks": (
+            placed(background(), top_rows(), 2 * -(-k // th)), noise(), None, False
+        ),
+    }
+    # One sum of 10^5 is the only one to reach its output: the largest
+    # row's last sum, at the limit or at the end of b, or a row left to the
+    # tiles at a limit inside a chunk of th columns.
+    inside = th * (lb // th) + th // 2
+    for name, limit in (
+        ("passes clipped by the limit", lb - 1),
+        ("passes to the end of b", None),
+        ("limit inside a chunk", inside),
+    ):
+        a, b = placed(background(), top_rows()), noise()
+        if limit == inside:
+            b[limit - max(i for i, v in enumerate(a) if v <= 1000)] = 10**5
+        else:
+            b[lb - 1 if limit is None else limit - a.index(max(a))] = 10**5
+        cases[name] = (a, b, limit, True)
+    # The rows of 100, row 0 among them, pass; row 1 then holds the only
+    # sum 200 at output tw - 1, the last column of block 0's first tile,
+    # where b is 0 under every pass.  Up to the limit, block 0's last
+    # output, the passes reach 200 everywhere else through b's 100s: block
+    # 0's bounds see the one low output only in its first window's last
+    # chunk.
+    a = placed([0] * la, [100] * (k - 1))
+    a[0], a[1] = 100, 50
+    limit = lb + th - 2
+    last = min(tw, limit + 1) - 1
+    b = [100] * lb
+    for i, v in enumerate(a):
+        if v == 100 and 0 <= last - i < lb:
+            b[last - i] = 0
+    b[last - 1] = 150
+    cases["low output in a window's last chunk"] = (a, b, limit, True)
+    return cases
+
+
+@LANES
+@pytest.mark.parametrize("name", sorted(_pass_cases(core._TILE_ROWS, core._TILE_COLS)))
+def test_row_passes_match_brute_force(name, lane, tiles, lanes, monkeypatch):
+    a, b, limit, gate = _pass_cases(core._TILE_ROWS, core._TILE_COLS)[name]
+    a, b = _in_lane(a, lane), _in_lane(b, lane)
+    want = brute_maxconv(a, b, limit)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(core, "np", counting)
+    assert maxconv_values(a, b, limit) == want
+    assert maxconv_values(b, a, limit) == want
+    assert lanes == [lane] * 2
+    per_call = len(a) // core._PASS_SHARE if gate and core._TILE_ROWS > 1 else 0
+    assert counting.passes == 2 * per_call
 
 
 def _steps(rng: random.Random, n: int, runs: int, lo: int, hi: int) -> list:
@@ -333,7 +434,7 @@ def _steps(rng: random.Random, n: int, runs: int, lo: int, hi: int) -> list:
     return [v for s, e, v in zip(starts, ends, heads) for _ in range(e - s)]
 
 
-def _run_cases():
+def _step_cases():
     """name -> (a, b, limits): non-decreasing pairs with long runs of equal
     values, at the limits listed (None is the full product)."""
     rng = random.Random(1013)
@@ -368,12 +469,12 @@ def _run_cases():
     }
 
 
-RUN_CASES = _run_cases()
+STEP_CASES = _step_cases()
 
 
-@pytest.mark.parametrize("name", sorted(RUN_CASES))
-def test_run_path_matches_brute_force(name):
-    a, b, limits = RUN_CASES[name]
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_step_pairs_match_brute_force(name):
+    a, b, limits = STEP_CASES[name]
     for limit in limits:
         want = brute_maxconv(a, b, limit)
         assert maxconv_values(a, b, limit) == want, limit
@@ -381,7 +482,7 @@ def test_run_path_matches_brute_force(name):
         assert maxconv_values(a, b, limit, "python") == want, limit
 
 
-def test_run_path_reads_only_the_entries_up_to_the_limit():
+def test_step_pairs_read_only_the_entries_up_to_the_limit():
     # A descent or a jump past the limit changes no output.
     rng = random.Random(1015)
     a, b = _steps(rng, 100, 4, 0, 50), _steps(rng, 150, 6, 10, 80)
@@ -437,6 +538,11 @@ def _fold_cases():
     met = _records(rng, 160, rule, 0, 400) + [401] + _records(rng, 39, 3, 0, 500)
     missed = _records(rng, 160, rule + 1, 0, 400) + _records(rng, 40, 3, 0, 500)
     wide = _profile(rng, 200, 9)
+    # rule + 1 and rule runs, all in the first 4 * rule rows: the first is
+    # refused on that prefix alone.
+    early = [
+        _records(rng, 4 * rule, r, 10, 400) + [0] * (200 - 4 * rule) for r in (rule + 1, rule)
+    ]
     return {
         "limit len(x) - 1": (x, y, 159, "fold", None),
         "limit len(x)": (x, y, 160, "tiles", None),
@@ -451,6 +557,8 @@ def _fold_cases():
         "word edge, bottom": (wide, _records(rng, 200, 5, 0, 900), 199, "fold", "bottom"),
         "run rule met": (wide, met, 159, "fold", None),
         "run rule missed by one": (wide, missed, 159, "tiles", None),
+        "run rule missed in the first 4 * rule rows": (wide, early[0], 159, "tiles", None),
+        "run rule met in the first 4 * rule rows": (wide, early[1], 159, "fold", None),
     }
 
 
