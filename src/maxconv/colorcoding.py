@@ -5,13 +5,14 @@ Items are split into weight layers so that layer i can contribute at most
 spreads any small solution across parts with constant probability, a few
 repetitions boost that to 1 - delta, and part profiles (choose at most one
 item) are folded together.  Every operand of every join here is a
-non-decreasing profile, so each join is one fold (``core._fold``, which
-the default kernel also runs on its monotone operands): the maximum of a
-few shifted copies of one profile, one per jump of the other, O(t) numpy
-work per jump instead of a quadratic kernel call.  A part join folds
-the part profile's jumps into the trial's profile; the layer merges and
-the final accumulation (``_merge``) fold the jumps of whichever profile has
-fewer.  No join calls a convolution kernel.  Trial profiles are int64
+non-decreasing profile, so each join is one fold (``core._fold``): the
+maximum of a few shifted copies of one profile, one per jump of the
+other, O(t) numpy work per jump instead of a quadratic kernel call.  A
+part join folds the part profile's jumps into the trial's profile; the
+layer merges and the final accumulation run ``core._merge``, the join
+the default kernel runs on a monotone operand and the other's running
+maximum: it folds the jumps of whichever profile has fewer.  No join
+calls a convolution kernel.  Trial profiles are int64
 arrays when the positive item values sum to at most 2^63 - 1 and Python
 ints otherwise, so every profile is exact at every magnitude.  Error is
 one-sided: every profile entry produced anywhere is achievable by a real
@@ -32,7 +33,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import WORD_MAX, _fold
+from .core import WORD_MAX, _fold, _merge
 from .oracles import KnapsackInstance, ValueProfile, _check_int, _check_items
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -78,19 +79,6 @@ def _join_part(cur: np.ndarray, part: list[tuple[int, int]]) -> np.ndarray:
     truncated at len(cur) - 1, in cur's dtype (see _profile_dtype)."""
     limit = len(cur) - 1
     return _fold(cur, _part_steps(part, limit), limit)
-
-
-def _merge(p: np.ndarray, q: np.ndarray, limit: int) -> np.ndarray:
-    """(max,+)-convolution of two non-decreasing profiles of one dtype (see
-    _profile_dtype), truncated at ``limit <= len(p) + len(q) - 2``: the
-    jumps of the one with fewer up to ``limit`` folded into the other."""
-    assert limit <= len(p) + len(q) - 2
-    p, q = p[: limit + 1], q[: limit + 1]
-    jp, jq = (np.flatnonzero(y[1:] != y[:-1]) + 1 for y in (p, q))
-    if len(jp) < len(jq):
-        p, q, jq = q, p, jp
-    at = [0, *jq.tolist()]
-    return _fold(p, list(zip(at, q[at].tolist())), limit)
 
 
 def _profile_dtype(items: Iterable[tuple[int, int]]):

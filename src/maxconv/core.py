@@ -74,6 +74,14 @@ def _int_values(values: Iterable) -> Union[list, tuple]:
     return vals
 
 
+def _int_arg(value, name: str) -> int:
+    """``value`` as an int: numpy integers pass, bools and non-integers
+    raise TypeError naming the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class Sequence:
     """Immutable, non-empty sequence of signed integers of any magnitude.
 
@@ -159,10 +167,12 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
 
     Fold: if one operand x is non-decreasing on ``x[0..limit]`` and
     ``limit < len(x)``, a row of the other operand y loses to any earlier
-    row at least as large (``x[k - i]`` only grows as i falls), so
-    ``c[k]`` is the max of ``v + x[k - s]`` over the runs (s, v) of y's
-    running maximum with s <= k (``_fold``).  It runs, in either
-    orientation, on at most one run per ``_ROWS_PER_RUN`` rows.
+    row at least as large (``x[k - i]`` only grows as i falls), so up to
+    the limit y can be replaced by its running maximum.  The product is
+    then ``_merge`` of two non-decreasing arrays, the one join the
+    knapsack solver runs: the jumps of whichever has fewer, folded into
+    the other.  It runs, in either orientation, when y's running maximum
+    has at most one run per ``_ROWS_PER_RUN`` rows.
 
     Tiles: ``_TILE_ROWS`` values of the shorter operand plus reversed
     sliding windows of the longer one, ``_TILE_COLS`` output columns at a
@@ -201,30 +211,15 @@ def maxconv_numpy_kernel(a: list, b: list, limit: int) -> list:
     cap = min(len(a), limit + 1) // _ROWS_PER_RUN
     for x, y in ((av, bv), (bv, av)):
         if limit < len(x) and (x[1 : limit + 1] >= x[:limit]).all():
-            steps = _run_heads(y, limit, cap)
-            if steps is not None:
-                out = _fold(x, steps, limit)
+            top = np.maximum.accumulate(y[: limit + 1])
+            if np.count_nonzero(top[1:] != top[:-1]) < cap:
+                out = _merge(x, top, limit)
                 break
     else:
         out = _tiled_maxconv(av, bv, limit)
     out = out.astype(np.int64, copy=False)
     out += lo_a + lo_b
     return out.tolist()
-
-
-def _run_heads(y: np.ndarray, limit: int, cap: int) -> list | None:
-    """(start, value) of each run of the running maximum of y[0..limit], or
-    None when it has more than ``cap`` runs.  A prefix's running maximum is
-    the whole one's prefix, so ``cap`` rises in y[0..4 * cap - 1] (a
-    quarter of the limit at most) refuse y there: a profile, which rises on
-    about every other row, is refused without reading the rest."""
-    for p in (4 * cap, limit + 1):
-        top = np.maximum.accumulate(y[:p])
-        rises = top[1:] != top[:-1]
-        if np.count_nonzero(rises) >= cap:
-            return None
-    at = [0, *(np.flatnonzero(rises) + 1).tolist()]
-    return list(zip(at, top[at].tolist()))
 
 
 def _tiled_maxconv(av: np.ndarray, bv: np.ndarray, limit: int) -> np.ndarray:
@@ -345,6 +340,19 @@ def _fold(x: np.ndarray, steps: list[tuple[int, int]], limit: int) -> np.ndarray
     return out
 
 
+def _merge(p: np.ndarray, q: np.ndarray, limit: int) -> np.ndarray:
+    """(max,+)-convolution of two non-decreasing arrays of one dtype, cut at
+    ``limit <= len(p) + len(q) - 2``: the jumps of the one with fewer up to
+    ``limit`` folded into the other.  The kernel's fold and every merge."""
+    assert limit <= len(p) + len(q) - 2
+    p, q = p[: limit + 1], q[: limit + 1]
+    jp, jq = (np.flatnonzero(y[1:] != y[:-1]) + 1 for y in (p, q))
+    if len(jp) < len(jq):
+        p, q, jq = q, p, jp
+    at = [0, *jq.tolist()]
+    return _fold(p, list(zip(at, q[at].tolist())), limit)
+
+
 KERNELS: dict[str, Kernel] = {
     "naive": maxconv_numpy_kernel,
     "python": _maxconv_plain,
@@ -373,9 +381,7 @@ def maxconv_values(
     """
     a, b = as_values(a), as_values(b)
     if limit is not None:
-        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
-            raise TypeError(f"limit must be an integer, got {limit!r}")
-        limit = int(limit)
+        limit = _int_arg(limit, "limit")
     full = len(a) + len(b) - 2
     hi = full if limit is None else min(limit, full)
     if hi < 0:

@@ -42,7 +42,7 @@ from itertools import accumulate, compress
 from operator import add, lt
 from typing import Callable
 
-from .core import Sequence, SequenceLike, _dominates, _equal_lists
+from .core import Sequence, SequenceLike, _dominates, _equal_lists, _int_arg
 
 # An oracle may return anything whose truth is the verdict: a bool, as the
 # default does, or a core.Decision, as check_upper_bound does.
@@ -76,9 +76,12 @@ def detect_single(
     below p.  ``start`` is the caller's promise that every prefix of
     length at most ``start`` holds (0 <= start < n), so the search runs
     over the lengths start + 1 .. n and any answer is at least ``start``.
+    ``start`` takes the check of ``maxconv_values``' limit (``_int_arg``).
     Uses at most ceil(log2(n - start)) + 1 <= ceil(log2 n) + 1 oracle calls.
     """
     av, bv, cv, n = _equal_lists(a, b, c)
+    if type(start) is not int:
+        start = _int_arg(start, "start")
     if not 0 <= start < n:
         raise ValueError(f"start must be in [0, {n}), got {start!r}")
 

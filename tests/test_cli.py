@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -801,6 +802,38 @@ def test_knapsack_methods_on_zero_weight_and_heavy_items_seed7003():
                         assert got[1] is False, (problem, name, seed, payload)
                     else:
                         assert got == (True, False), (problem, name, seed, payload)
+
+
+def _outcome(solve, objs, opts):
+    """A method's answer, or the type and message of the input error it raises."""
+    try:
+        return solve(objs, opts)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_knapsack_methods_on_every_small_instance():
+    # Every payload of at most 2 items, weights 0..3 and values 0..2, at
+    # capacities 0..4: 455 per problem, built here, not drawn by gen.  Each
+    # method gives the reference answer or raises the reference's input
+    # error (uknapsack's zero-weight items of positive value); rand is exact
+    # on every one at seed 0.
+    pool = [(w, v) for w in range(4) for v in range(3)]
+    payloads = [
+        {"items": [list(item) for item in items], "capacity": t}
+        for size in range(3)
+        for items in itertools.combinations_with_replacement(pool, size)
+        for t in range(5)
+    ]
+    assert len(payloads) == 455
+    opts = {"delta": 0.25, "seed": 0}
+    for problem in ("knapsack01", "uknapsack"):
+        methods = METHODS[problem]
+        for payload in payloads:
+            objs = payload_objects(problem, payload)
+            got = {name: _outcome(solve, objs, opts) for name, solve in methods.items()}
+            ref = got[cli.REFERENCE[problem]]
+            assert all(out == ref for out in got.values()), (problem, payload, got)
 
 
 def test_methods_take_payload_objects_as_built_seed7002(monkeypatch):

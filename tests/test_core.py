@@ -538,8 +538,8 @@ def _fold_cases():
     met = _records(rng, 160, rule, 0, 400) + [401] + _records(rng, 39, 3, 0, 500)
     missed = _records(rng, 160, rule + 1, 0, 400) + _records(rng, 40, 3, 0, 500)
     wide = _profile(rng, 200, 9)
-    # rule + 1 and rule runs, all in the first 4 * rule rows: the first is
-    # refused on that prefix alone.
+    # rule + 1 and rule runs, all in the first 4 * rule rows, then rows
+    # that set no new maximum: the runs of the whole running maximum decide.
     early = [
         _records(rng, 4 * rule, r, 10, 400) + [0] * (200 - 4 * rule) for r in (rule + 1, rule)
     ]
@@ -559,6 +559,11 @@ def _fold_cases():
         "run rule missed by one": (wide, missed, 159, "tiles", None),
         "run rule missed in the first 4 * rule rows": (wide, early[0], 159, "tiles", None),
         "run rule met in the first 4 * rule rows": (wide, early[1], 159, "fold", None),
+        # x has 3 jumps and y's running maximum 6, under the rule: x's jumps
+        # fold into that running maximum, read past y's end as its last entry.
+        "step x, more runs in a shorter y": (
+            _steps(rng, 200, 4, 0, 500), _records(rng, 150, 7, -400, 400), 199, "fold", None
+        ),
     }
 
 

@@ -5,6 +5,7 @@ import math
 import random
 from itertools import compress
 
+import numpy as np
 import pytest
 
 from maxconv import core, decision
@@ -87,9 +88,18 @@ def test_detect_single_from_a_start_seed6007():
         calls = 0
         assert detect_single(a, b, c, oracle, start=start) == want == detect_single(a, b, c)
         assert calls <= math.ceil(math.log2(n - start)) + 1
-    for bad in (-1, 3):
-        with pytest.raises(ValueError, match="start"):
+    for bad, error in (
+        (-1, ValueError),
+        (3, ValueError),
+        (np.int64(3), ValueError),
+        (True, TypeError),
+        (np.bool_(True), TypeError),
+        (1.0, TypeError),
+        ("1", TypeError),
+    ):
+        with pytest.raises(error, match="start"):
             detect_single([0] * 3, [0] * 3, [0] * 3, start=bad)
+    assert detect_single([0] * 3, [0] * 3, [0, -1, 0], start=np.int64(1)) == 1
 
 
 def test_detect_violations_slack_and_deficit():
