@@ -33,8 +33,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import WORD_MAX, _fold, _merge
-from .oracles import KnapsackInstance, ValueProfile, _check_int, _check_items
+from .core import WORD_MAX, _check_int, _fold, _merge
+from .oracles import KnapsackInstance, ValueProfile, _check_items
 
 SeedLike = Union[int, np.random.SeedSequence]
 

@@ -74,12 +74,17 @@ def _int_values(values: Iterable) -> Union[list, tuple]:
     return vals
 
 
-def _int_arg(value, name: str) -> int:
-    """``value`` as an int: numpy integers pass, bools and non-integers
-    raise TypeError naming the argument ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _check_int(v, what: str, minimum: int | None = 0, error: type = ValueError) -> int:
+    """``v`` as a Python int: the one scalar-integer check.  Ints and numpy
+    integers pass; bool, np.bool_ and every other type raise ``error``, and
+    values below ``minimum`` raise ValueError (``None`` skips that test)."""
+    if type(v) is not int:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise error(f"{what} must be an integer, got {v!r}")
+        v = int(v)
+    if minimum is not None and v < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {v}")
+    return v
 
 
 class Sequence:
@@ -243,8 +248,9 @@ def _tiled_maxconv(av: np.ndarray, bv: np.ndarray, limit: int) -> np.ndarray:
     # The rows // _PASS_SHARE largest rows (of tied rows at the cut, the
     # last) run first as single rows when they spread over more than twice
     # the blocks they would fill; rows that sit in a few blocks are left to
-    # those blocks.  The ascending sort reads a profile as one run.
-    picked = np.argsort(av, kind="stable")[rows - rows // _PASS_SHARE :]
+    # those blocks.  The ascending sort reads a profile as one run; its
+    # slice is copied, so the whole sort is freed before the buffer below.
+    picked = np.argsort(av, kind="stable")[rows - rows // _PASS_SHARE :].copy()
     hit = np.zeros(len(starts), dtype=bool)
     hit[picked // th] = True
     passes = np.count_nonzero(hit) > 2 * -(-len(picked) // th)
@@ -381,7 +387,7 @@ def maxconv_values(
     """
     a, b = as_values(a), as_values(b)
     if limit is not None:
-        limit = _int_arg(limit, "limit")
+        limit = _check_int(limit, "limit", None, TypeError)
     full = len(a) + len(b) - 2
     hi = full if limit is None else min(limit, full)
     if hi < 0:

@@ -42,7 +42,7 @@ from itertools import accumulate, compress
 from operator import add, lt
 from typing import Callable
 
-from .core import Sequence, SequenceLike, _dominates, _equal_lists, _int_arg
+from .core import Sequence, SequenceLike, _check_int, _dominates, _equal_lists
 
 # An oracle may return anything whose truth is the verdict: a bool, as the
 # default does, or a core.Decision, as check_upper_bound does.
@@ -76,12 +76,11 @@ def detect_single(
     below p.  ``start`` is the caller's promise that every prefix of
     length at most ``start`` holds (0 <= start < n), so the search runs
     over the lengths start + 1 .. n and any answer is at least ``start``.
-    ``start`` takes the check of ``maxconv_values``' limit (``_int_arg``).
+    ``start`` takes the check of ``maxconv_values``' limit (``_check_int``).
     Uses at most ceil(log2(n - start)) + 1 <= ceil(log2 n) + 1 oracle calls.
     """
     av, bv, cv, n = _equal_lists(a, b, c)
-    if type(start) is not int:
-        start = _int_arg(start, "start")
+    start = _check_int(start, "start", None, TypeError)
     if not 0 <= start < n:
         raise ValueError(f"start must be in [0, {n}), got {start!r}")
 
@@ -195,8 +194,10 @@ def max_conv_via_upperbound(
 
     Keeps per-index bounds lo..hi on the answer, started from _bracket;
     each round probes the midpoints, marks the violated coordinates, and
-    halves every interval, finishing within ceil(log2(value range)) + 1
-    rounds.  The probes lie between min(a) + min(b) and max(a) + max(b).
+    cuts every interval of size m to at most ceil(m / 2), finishing within
+    ceil(log2 S) rounds, S = max_k (hi[k] - lo[k] + 1) over _bracket's
+    intervals (none when S = 1).  The probes lie between min(a) + min(b)
+    and max(a) + max(b), so S is at most that range's size.
     """
     av, bv, n = _equal_lists(a, b)
     lo, hi = _bracket(av, bv)

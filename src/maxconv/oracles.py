@@ -12,19 +12,7 @@ from operator import le
 
 import numpy as np
 
-from .core import Decision, SequenceLike, _equal_lists, as_values
-
-
-def _check_int(v, what: str, minimum: int = 0) -> int:
-    """``v`` as a Python int.  Ints and numpy integers pass; bool, np.bool_
-    and every other type raise ValueError, as do values below ``minimum``."""
-    if type(v) is not int:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{what} must be an integer, got {v!r}")
-        v = int(v)
-    if v < minimum:
-        raise ValueError(f"{what} must be >= {minimum}, got {v}")
-    return v
+from .core import Decision, SequenceLike, _check_int, _equal_lists, as_values
 
 
 def _check_items(items) -> list[tuple[int, int]]:

@@ -13,8 +13,8 @@ import random
 import sys
 from typing import Callable, NamedTuple
 
-from .core import Sequence, maxconv_values
-from .oracles import KnapsackInstance, NecklaceInstance, WeightedTree, _check_int
+from .core import Sequence, _check_int, maxconv_values
+from .oracles import KnapsackInstance, NecklaceInstance, WeightedTree
 
 
 class InstanceFormatError(ValueError):

@@ -1,8 +1,9 @@
 """Brute-force oracles and instance generators shared by the tests.
 
-Everything here is written from the problem statements alone, without
-touching the package implementations, so the tests compare two
-independently derived answers.
+The oracles and generators here are written from the problem statements
+alone, without touching the package implementations, so the tests compare
+two independently derived answers.  The small scopes at the end are built
+the same way; ``scope_disagreements`` runs the package's methods on them.
 """
 
 from __future__ import annotations
@@ -186,3 +187,122 @@ def rand_tree(rng: random.Random, n: int, wmax: int):
     parent = [-1] + [rng.randint(0, i - 1) for i in range(1, n)]
     weight = [rng.randint(0, wmax) for _ in range(n)]
     return parent, weight
+
+
+# ---------------------------------------------------------------------------
+# small scopes: every instance up to a size, built here and not by `gen`,
+# so that `GEN_DIGEST` and every crosscheck seed stay put
+
+
+def _every(n: int, lo: int, hi: int):
+    """Every list of n values in lo..hi."""
+    return map(list, itertools.product(range(lo, hi + 1), repeat=n))
+
+
+def small_scope(conv_n: int, bound_sizes, seq_n: int, tree_n: int, necklace_n: int) -> dict:
+    """Every payload of each problem up to the given sizes, keyed by tag;
+    each value is a fresh iterator.
+
+    - maxconv: a and b of one length n <= conv_n, values -2..2;
+    - upperbound, lowerbound, 3sumconv: for each (n, w, cw) in
+      ``bound_sizes``, a and b of length n in -w..w, c in -cw..cw;
+    - superadd, mcsp: n <= seq_n, values -2..2;
+    - treesparsity: every parent array with parent[i] < i up to tree_n
+      nodes, weights 0..2, k = n // 2;
+    - necklace: n <= necklace_n beads a side, circle length L in 1..3,
+      sorted positions in 0..L;
+    - knapsack01, uknapsack: at most 2 items, weights 0..3, values 0..2,
+      capacities 0..4.
+    """
+
+    def conv():
+        for n in range(1, conv_n + 1):
+            seqs = list(_every(n, -2, 2))
+            for a, b in itertools.product(seqs, repeat=2):
+                yield {"a": a, "b": b}
+
+    def triples():
+        for n, w, cw in bound_sizes:
+            seqs, cs = list(_every(n, -w, w)), list(_every(n, -cw, cw))
+            for a, b, c in itertools.product(seqs, seqs, cs):
+                yield {"a": a, "b": b, "c": c}
+
+    def seqs():
+        for n in range(1, seq_n + 1):
+            for a in _every(n, -2, 2):
+                yield {"a": a}
+
+    def trees():
+        for n in range(1, tree_n + 1):
+            for parent in itertools.product(*map(range, range(1, n))):
+                for weight in _every(n, 0, 2):
+                    yield {"parent": [-1, *parent], "weight": weight, "k": n // 2}
+
+    def necklaces():
+        for n in range(1, necklace_n + 1):
+            for length in (1, 2, 3):
+                sorted_beads = itertools.combinations_with_replacement(range(length + 1), n)
+                beads = list(map(list, sorted_beads))
+                for x, y in itertools.product(beads, repeat=2):
+                    yield {"x": x, "y": y, "circle_length": length}
+
+    def knapsacks():
+        pool = [(w, v) for w in range(4) for v in range(3)]
+        for size in range(3):
+            for items in itertools.combinations_with_replacement(pool, size):
+                for t in range(5):
+                    yield {"items": [list(item) for item in items], "capacity": t}
+
+    return {
+        "maxconv": conv(),
+        "upperbound": triples(),
+        "lowerbound": triples(),
+        "3sumconv": triples(),
+        "superadd": seqs(),
+        "mcsp": seqs(),
+        "treesparsity": trees(),
+        "necklace": necklaces(),
+        "knapsack01": knapsacks(),
+        "uknapsack": knapsacks(),
+    }
+
+
+def _outcome(solve, objs, opts):
+    """A method's answer, or the type and message of the input error it raises."""
+    try:
+        return solve(objs, opts)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def scope_disagreements(problem: str, payloads) -> list:
+    """Run every registered method of ``problem`` on each payload and return
+    (payload, method, answer, reference answer) for each disagreement.
+
+    Answers are compared with the reference method's through the CLI's own
+    comparison, and input errors as errors: both must raise the same
+    ValueError.  ``knapsack01/rand`` runs at seed 0, where it is exact on
+    its whole profile, and necklace's one method is checked against
+    ``enum_necklace``.  Unlike the oracles above, this runs the package.
+    """
+    from maxconv.cli import METHODS, RANDOMIZED, REFERENCE, _compare
+    from maxconv.serialize import payload_objects
+
+    opts = {"delta": 0.25, "seed": 0}
+    bad = []
+    for payload in payloads:
+        objs = payload_objects(problem, payload)
+        got = {name: _outcome(solve, objs, opts) for name, solve in METHODS[problem].items()}
+        ref = got[REFERENCE[problem]]
+        if problem == "necklace":
+            x, y, length = payload["x"], payload["y"], payload["circle_length"]
+            ref = {"doubled_objective": enum_necklace(x, y, length)}
+        for name, out in got.items():
+            if isinstance(out, tuple) or isinstance(ref, tuple):
+                same = out == ref
+            else:
+                same = _compare(problem, name, out, ref) == (True, False)
+                same &= (problem, name) not in RANDOMIZED or out == ref
+            if not same:
+                bad.append((payload, name, out, ref))
+    return bad

@@ -2,7 +2,6 @@
 
 import hashlib
 import io
-import itertools
 import json
 import os
 import random
@@ -26,6 +25,7 @@ from maxconv.serialize import (
     parse_instance,
     payload_objects,
 )
+from helpers import scope_disagreements, small_scope
 
 TAGS = (
     "maxconv",
@@ -804,36 +804,33 @@ def test_knapsack_methods_on_zero_weight_and_heavy_items_seed7003():
                         assert got == (True, False), (problem, name, seed, payload)
 
 
-def _outcome(solve, objs, opts):
-    """A method's answer, or the type and message of the input error it raises."""
-    try:
-        return solve(objs, opts)
-    except ValueError as exc:
-        return type(exc), str(exc)
+# Payloads per problem in tier-1's small scope.
+SMALL_SCOPE_COUNTS = {
+    "maxconv": 650,
+    "upperbound": 2662,
+    "lowerbound": 2662,
+    "3sumconv": 2662,
+    "superadd": 780,
+    "mcsp": 780,
+    "treesparsity": 552,
+    "necklace": 174,
+    "knapsack01": 455,
+    "uknapsack": 455,
+}
 
 
-def test_knapsack_methods_on_every_small_instance():
-    # Every payload of at most 2 items, weights 0..3 and values 0..2, at
-    # capacities 0..4: 455 per problem, built here, not drawn by gen.  Each
-    # method gives the reference answer or raises the reference's input
-    # error (uknapsack's zero-weight items of positive value); rand is exact
-    # on every one at seed 0.
-    pool = [(w, v) for w in range(4) for v in range(3)]
-    payloads = [
-        {"items": [list(item) for item in items], "capacity": t}
-        for size in range(3)
-        for items in itertools.combinations_with_replacement(pool, size)
-        for t in range(5)
-    ]
-    assert len(payloads) == 455
-    opts = {"delta": 0.25, "seed": 0}
-    for problem in ("knapsack01", "uknapsack"):
-        methods = METHODS[problem]
-        for payload in payloads:
-            objs = payload_objects(problem, payload)
-            got = {name: _outcome(solve, objs, opts) for name, solve in methods.items()}
-            ref = got[cli.REFERENCE[problem]]
-            assert all(out == ref for out in got.values()), (problem, payload, got)
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_methods_on_every_small_instance(problem):
+    # Every payload of the small scope, built by helpers.small_scope and not
+    # drawn by gen: maxconv n <= 2; the bound triples at n = 1 (values -3..3,
+    # c in -6..6) and n = 2 (-1..1, c in -2..2); superadd and mcsp n <= 4;
+    # treesparsity n <= 4; necklace n <= 2.  Each method gives the
+    # reference answer or raises the reference's input error (uknapsack's
+    # zero-weight items of positive value); rand is exact on every knapsack01
+    # payload at seed 0.  CI runs the same comparison at larger sizes.
+    payloads = list(small_scope(2, ((1, 3, 6), (2, 1, 2)), 4, 4, 2)[problem])
+    assert len(payloads) == SMALL_SCOPE_COUNTS[problem]
+    assert scope_disagreements(problem, payloads) == []
 
 
 def test_methods_take_payload_objects_as_built_seed7002(monkeypatch):

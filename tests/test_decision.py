@@ -727,3 +727,40 @@ def test_dominates_convolves_the_whole_lists_seed6003(kernel, monkeypatch):
         want = _first_violating_pair(a, b, c)
         assert (got.holds, got.witness) == (want is None, want)
         assert calls == [(a, b, n - 1)]
+
+
+def test_rounds_within_the_bracket_bound_seed6009(monkeypatch):
+    # Each round of max_conv_via_upperbound cuts every interval _bracket
+    # gave to at most half its size, rounded up, so the route takes at most
+    # ceil(log2 S) rounds, S the widest interval's size hi - lo + 1: none
+    # when S = 1.  The bound is met exactly on some case.
+    rounds = 0
+    scan = decision.detect_violations
+
+    def counted_scan(*args):
+        nonlocal rounds
+        rounds += 1
+        return scan(*args)
+
+    monkeypatch.setattr(decision, "detect_violations", counted_scan)
+    rng = random.Random(6009)
+    met = 0
+    cases = [([5], [-3]), ([2, 2, 2], [0, 0, 0]), ([0, 1], [0, 0])]
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        w = rng.choice([1, 10, 1000, 10**6])
+        a, b = rand_seq(rng, n, w), rand_seq(rng, n, w)
+        if rng.random() < 0.3:
+            a.sort()
+        cases.append((a, b))
+    for a, b in cases:
+        want = maxconv_values(a, b, len(a) - 1)
+        lo, hi = decision._bracket(a, b)
+        assert all(l <= v <= h for l, v, h in zip(lo, want, hi)), (a, b)
+        width = max(h - l + 1 for l, h in zip(lo, hi))
+        bound = (width - 1).bit_length()  # ceil(log2 width)
+        rounds = 0
+        assert max_conv_via_upperbound(a, b) == max_conv(a, b, limit=len(a) - 1)
+        assert rounds <= bound, (a, b, rounds, width)
+        met += rounds == bound > 0
+    assert met > 0

@@ -1,6 +1,7 @@
 """Each transformation against the direct solvers on both sides."""
 
 import random
+import sys
 from itertools import accumulate
 
 import pytest
@@ -309,6 +310,45 @@ def test_tree_sparsity_via_maxconv_long_path_and_deep_binary_tree():
     n = 2**13 - 1
     binary = WeightedTree(tuple((i - 1) // 2 for i in range(n)), (1,) * n)
     assert tree_sparsity_via_maxconv(binary) == list(range(n + 1))
+
+
+def _spine_depth(tree: WeightedTree) -> int:
+    """Most spine_vector frames on the stack at once while the route runs."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event in ("call", "return") and frame.f_code.co_name == "spine_vector":
+            depth += 1 if event == "call" else -1
+            deepest = max(deepest, depth)
+
+    sys.setprofile(profile)
+    try:
+        tree_sparsity_via_maxconv(tree)
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+def test_tree_sparsity_via_maxconv_spine_depth_seed3013():
+    # Each nested spine_vector frame runs on a light child, at most half of
+    # its parent's subtree, so at most floor(log2 n) + 1 are live at once;
+    # a complete binary tree of 2^h - 1 nodes nests h.
+    rng = random.Random(3013)
+    sizes = [*range(1, 32), 63, 100, 127, 200, 255]
+    trees = [[(i - 1) // 2 for i in range(n)] for n in sizes]
+    for n in (2, 5, 40, 255):
+        trees.append(_shaped_parents(rng, "caterpillar", n))
+    for _ in range(20):
+        trees.append(rand_tree(rng, rng.randint(1, 300), 0)[0])
+        n = rng.randint(1, 300)
+        trees.append([-1] + [rng.randint(max(0, i - 3), i - 1) for i in range(1, n)])
+    for parent in trees:
+        n = len(parent)
+        depth = _spine_depth(WeightedTree(tuple(parent), (1,) * n))
+        assert depth <= n.bit_length(), (n, depth)
+        if n & (n + 1) == 0 and parent == [(i - 1) // 2 for i in range(n)]:
+            assert depth == n.bit_length(), n
 
 
 def test_tree_sparsity_via_maxconv_kernel_calls(monkeypatch):
